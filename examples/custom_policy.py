@@ -6,10 +6,10 @@ seam (`repro/core/decision.py`): it maps a `DecisionContext` - the
 supplier prediction plus the requester's urgency signals (retry
 count, MSHR-waiter depth, ring age) - to one of the three Table 2
 primitives.  A policy that publishes its behaviour as a static
-:class:`~repro.core.decision.DecisionTable` runs on *all three*
-simulation cores: the fused ``soa``/``jit`` cores hoist the table and
-thresholds into plain integers and tally its declared counted output
-in-kernel.
+:class:`~repro.core.decision.DecisionTable` runs on *both*
+simulation cores: the fused ``soa`` core hoists the table and
+thresholds into plain integers and tallies its declared counted output
+in its event loop.
 
 This example builds **Backoff**: aggressive Forward-Then-Snoop while
 the requester is calm, but once its access has been squashed and
@@ -17,13 +17,14 @@ retried it *yields* - Snoop-Then-Forward keeps the contended line to
 one message on the ring.  (The opposite bet from the builtin
 ``criticality``, which spends extra bandwidth on urgent requesters.)
 Because Backoff is a table, the example runs it bit-identically on
-the object, soa and jit cores, with an exact ``backoff_choices``
-counter on each.
+the object and soa cores, with an exact ``backoff_choices`` counter
+on each.
 
 The second half shows the other side of the contract: a policy whose
 decision depends on state *outside* the context (a decision-count
-phase) publishes no table, is confined to the object core, and
-``core=jit`` declines it with the real reason.
+phase) publishes no table, so every core calls its ``choose()`` per
+hop - and the soa core still runs it bit-identically to the object
+core.
 
 A third-party package registers the same classes with entry points
 (no edits to this repo); the optional ``registry_metadata`` attribute
@@ -48,8 +49,7 @@ from repro.core.decision import DecisionTable, as_context
 from repro.core.primitives import Primitive
 from repro.harness.experiments import run_experiment
 from repro.registry import REGISTRY
-from repro.sim.jit import JitRingMultiprocessor
-from repro.sim.soa import SoaRingMultiprocessor, SoaUnsupportedError
+from repro.sim.soa import SoaRingMultiprocessor
 from repro.sim.system import RingMultiprocessor
 from repro.workloads.source import resolve_source
 
@@ -81,8 +81,6 @@ class Backoff(SnoopingAlgorithm):
         "default_predictor_kind": "superset",
         "decouple_writes": True,
         "compatible_predictor_kinds": ("superset", "exact", "perfect"),
-        "decision_inputs": ("prediction", "retries"),
-        "dynamic_choose": False,
     }
 
     def __init__(self, retry_threshold: int = 1) -> None:
@@ -111,9 +109,8 @@ class PhaseSampler(SnoopingAlgorithm):
     """Alternate Agg/Con on a decision-count phase.
 
     The phase counter lives *outside* the `DecisionContext`, so the
-    policy cannot publish a table: ``decision_table()`` stays None,
-    the fused cores decline it, and only the object core's per-hop
-    ``choose()`` path can run it.
+    policy cannot publish a table: ``decision_table()`` stays None and
+    every core calls ``choose()`` per hop, in the same order.
     """
 
     name = "phase_sampler"
@@ -127,8 +124,6 @@ class PhaseSampler(SnoopingAlgorithm):
         "default_predictor_kind": "superset",
         "decouple_writes": True,
         "compatible_predictor_kinds": ("superset", "exact", "perfect"),
-        "decision_inputs": ("prediction", "decision_count"),
-        "dynamic_choose": True,
     }
 
     PHASE = 1024
@@ -160,8 +155,7 @@ def run_on(core_cls):
     algorithm = build_algorithm("backoff")
     # Compressed think time piles transactions on top of each other,
     # so squash/retry cycles (Backoff's decision input) actually
-    # happen - and it stays inside every core's envelope, unlike the
-    # link-contention knobs (which the jit core refuses).
+    # happen - and it stays inside the soa core's envelope.
     source = resolve_source(
         WORKLOAD, accesses_per_core=SCALE, think_scale=0.25
     )
@@ -186,12 +180,11 @@ def main() -> None:
     )
     print()
 
-    # The table-backed policy runs on all three cores, bit-identical,
-    # with the counted output exact everywhere.
+    # The table-backed policy runs on both cores, bit-identical, with
+    # the counted output exact on each.
     cores = (
         ("object", RingMultiprocessor),
         ("soa", SoaRingMultiprocessor),
-        ("jit", JitRingMultiprocessor),
     )
     header = "%-8s %14s %16s" % ("core", "exec (cyc)", "backoff choices")
     print(header)
@@ -208,29 +201,25 @@ def main() -> None:
         else:
             assert result.summary() == baseline[0], "summaries diverged"
             assert algorithm.backoff_choices == baseline[1]
-    print("all three cores bit-identical, counters exact")
+    print("both cores bit-identical, counters exact")
     print()
 
-    # The dynamic policy runs on the object core...
-    dynamic = run_experiment(
-        "phase_sampler", WORKLOAD, accesses_per_core=SCALE
-    )
-    print(
-        "phase_sampler on core=object: exec %d cycles"
-        % dynamic.exec_time
-    )
-    # ...and the jit core declines it with the real reason.
-    try:
-        run_experiment(
-            "phase_sampler",
-            WORKLOAD,
-            accesses_per_core=SCALE,
-            core="jit",
+    # The dynamic policy runs per hop on both cores, bit-identically.
+    dynamic = {
+        core: run_experiment(
+            "phase_sampler", WORKLOAD, accesses_per_core=SCALE, core=core
         )
-    except SoaUnsupportedError as error:
-        print("core=jit declined: %s" % error)
-    else:
-        raise AssertionError("core=jit accepted a dynamic policy")
+        for core in ("object", "soa")
+    }
+    for core, result in dynamic.items():
+        print(
+            "phase_sampler on core=%s: exec %d cycles"
+            % (core, result.exec_time)
+        )
+    assert (
+        dynamic["soa"].summary() == dynamic["object"].summary()
+    ), "phase_sampler diverged between cores"
+    print("dynamic policy bit-identical on both cores")
 
 
 if __name__ == "__main__":

@@ -10,11 +10,11 @@ that crosses packages is slow - the same "hierarchy in the segment
 timing" idea as the builtin ``hier_ring``, with a different floorplan.
 
 Because the chiplet ring is still one static Hamiltonian cycle, it
-exports successor/latency tables and runs on *all three* simulation
-cores (object, soa, jit) unchanged.  The second half shows the other
+exports successor/latency tables and runs on *both* simulation
+cores (object, soa) unchanged.  The second half shows the other
 side of that contract: a path-dependent topology that cannot export
-tables runs on the object core's per-hop walker, and the fused cores
-decline through their usual fallback envelope.
+tables runs on the object core's per-hop walker, and the fused soa
+core declines through its usual fallback envelope.
 
 A third-party package registers the same factory with an entry point:
 
@@ -137,7 +137,7 @@ def main() -> None:
         )
 
     print()
-    print("custom topologies run on the fused cores too (static tables):")
+    print("custom topologies run on the fused core too (static tables):")
     soa = run_experiment(
         "lazy", "splash2", accesses_per_core=400,
         topology="chiplet_ring", core="soa",

@@ -23,7 +23,7 @@ MSHR queues that only exist under contention):
 3. Assert the heavier point offers more and is served no faster
    (monotone loaded latency), and that both points completed.
 4. Re-run both injection points on the object core (tracing stays
-   outside the array cores) with event tracing plus synchronous
+   outside the soa core) with event tracing plus synchronous
    invariant checks on, and feed each trace to the policy-aware
    :class:`~repro.obs.audit.TraceAuditor` (decision table and
    write-snoop form included): zero violations required.

@@ -83,8 +83,8 @@ class SnoopingAlgorithm:
 
     def decision_inputs(self) -> Tuple[str, ...]:
         """Context fields (plus any out-of-context state) the policy
-        reads - the registry metadata the CLI/core envelope checks
-        cite when refusing a core/algorithm combination."""
+        reads; the object core's walker builds a full per-decision
+        context only when the urgency fields are among them."""
         table = self.decision_table()
         if table is None:
             return ("prediction", "dynamic")
@@ -245,8 +245,8 @@ class SupersetHybrid(SnoopingAlgorithm):
     prediction; when it returns True the conservative action is used.
     Without a pressure source the policy is the static aggressive
     table (with ``aggressive_choices`` as its declared counted
-    output), so it runs on all three cores; binding a pressure probe
-    makes the decision dynamic and confines it to the object core.
+    output), which the soa core hoists; binding a pressure probe makes
+    the decision dynamic, so every core calls ``choose`` per hop.
     """
 
     name = "superset_hybrid"
@@ -317,7 +317,7 @@ class Criticality(SnoopingAlgorithm):
     the policy degenerates to Superset Con; under load it spends extra
     snoop bandwidth exactly where stalls pile up.
     ``critical_choices`` counts critical-row decisions (a declared
-    counted output, exact on all three cores).
+    counted output, exact on both cores).
     """
 
     name = "criticality"
@@ -444,7 +444,6 @@ _ANY_KIND: Tuple[str, ...] = PredictorConfig.VALID_KINDS
 
 for _cls in ALGORITHMS.values():
     _instance = _cls()
-    _table = _instance.decision_table()
     REGISTRY.register(
         "algorithm",
         _cls.name,
@@ -460,8 +459,6 @@ for _cls in ALGORITHMS.values():
                 if _instance.forwards_on_negative()
                 else _ANY_KIND
             ),
-            "decision_inputs": _instance.decision_inputs(),
-            "dynamic_choose": _table is None,
         },
     )
-del _cls, _instance, _table
+del _cls, _instance

@@ -23,12 +23,12 @@ The seam has two halves:
   primitive table (calm/critical x negative/positive prediction) plus
   the integer thresholds that select the critical row.  A policy that
   publishes a table is a pure function of the context, so the fused
-  cores (``core=soa`` / ``core=jit``) hoist the table and thresholds
-  into plain integers at construction and never call back into Python
-  on the per-hop path.  A policy whose decision depends on state
+  core (``core=soa``) hoists the table and thresholds into plain
+  integers at construction and never calls back into Python on the
+  per-hop path.  A policy whose decision depends on state
   outside the context (e.g. :class:`~repro.core.algorithms.SupersetHybrid`
-  with an energy-pressure probe) publishes no table and is confined to
-  the object core's dynamic path.
+  with an energy-pressure probe) publishes no table, and every core
+  calls its ``choose`` per hop.
 
 Counted outputs
 ===============
@@ -37,7 +37,7 @@ A table may declare one *counted output* (:attr:`DecisionTable.counts`):
 the name of a decision subset the cores tally and report back through
 :meth:`~repro.core.algorithms.SnoopingAlgorithm.fold_choice_counts`.
 This is how ``SupersetHybrid.aggressive_choices`` and
-``Criticality.critical_choices`` stay exact on the array cores without
+``Criticality.critical_choices`` stay exact on the soa core without
 any per-hop Python callback - the counter is part of the declared
 policy, not a post-run reconstruction.
 """
@@ -49,8 +49,7 @@ from typing import NamedTuple, Optional, Tuple, Union
 from repro.core.primitives import Primitive
 
 #: Threshold sentinel: a criticality condition that can never fire.
-#: Large enough that no simulated retry count or waiter depth reaches
-#: it, small enough to stay a fast native int in the compiled kernel.
+#: Large enough that no simulated retry count or waiter depth reaches it.
 NEVER = 1 << 30
 
 #: Context field names, in the canonical ``decision_inputs`` order.
@@ -143,7 +142,7 @@ class DecisionTable(NamedTuple):
 
     def decide(self, ctx: DecisionContext) -> Primitive:
         """Evaluate the table on ``ctx`` (the object-core reference
-        path; the array cores run the same logic over hoisted ints)."""
+        path; the soa core runs the same logic over hoisted ints)."""
         if self.has_criticality() and self.is_critical(ctx):
             return self.critical_true if ctx.prediction else (
                 self.critical_false

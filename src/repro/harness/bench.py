@@ -6,7 +6,7 @@ records the serial (``jobs=1``) throughput of the main fig8 matrix -
 all seven algorithms over the three paper workloads - at a fixed
 benchmark scale::
 
-    {"pr": 7, "core": "jit", "accesses_per_sec": ...,
+    {"pr": 6, "core": "soa", "accesses_per_sec": ...,
      "events_per_sec": ..., "matrix_wall_s": ...,
      "env": {"cpu_model": ..., "cpu_count": ..., "python": ...}}
 
@@ -276,7 +276,6 @@ _SUBSYSTEM_FILES: Dict[str, str] = {
     "system.py": "engine",
     "warmup.py": "engine",
     "soa.py": "soa-core",
-    "jit.py": "jit-core",
 }
 
 

@@ -114,39 +114,6 @@ def _parse_algorithm_list(text: str) -> List[str]:
     return expanded
 
 
-def _refuse_unsupported_core(core: str, algorithms: List[str]) -> None:
-    """Pre-flight an algorithm list against the requested core.
-
-    The jit core only compiles policies that publish a static decision
-    table; an algorithm whose registry metadata says ``dynamic_choose``
-    would be rejected at construction time anyway, but for matrix
-    commands that rejection happens deep inside a worker pool.  Raising
-    the same :class:`SoaUnsupportedError` here keeps the message (which
-    names the policy's decision inputs) on one line and lets ``main``'s
-    usual fall-back-to-object / ``--strict-core`` machinery apply.
-
-    Unknown core or algorithm names are left alone: they get the
-    registry's uniform error when the run actually resolves them.
-    """
-    try:
-        if REGISTRY.canonical("core", core) != "jit":
-            return
-    except UnknownComponentError:
-        return
-    for name in algorithms:
-        try:
-            meta = REGISTRY.metadata("algorithm", name)
-        except UnknownComponentError:
-            continue
-        if meta.get("dynamic_choose"):
-            raise SoaUnsupportedError(
-                "core=jit does not support: algorithm %r (dynamic "
-                "choose() over decision inputs %s has no static "
-                "decision table to compile); use core=object"
-                % (name, "/".join(meta.get("decision_inputs", ())))
-            )
-
-
 def _add_component_options(
     parser: argparse.ArgumentParser,
     default_algorithm: str,
@@ -252,7 +219,6 @@ def _add_matrix_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _refuse_unsupported_core(args.core, [args.algorithm])
     result = run_experiment(
         args.algorithm,
         args.workload,
@@ -316,7 +282,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        _refuse_unsupported_core(args.core, algorithms)
         curves = run_saturation(
             algorithms=algorithms,
             topologies=[t for t in args.topologies.split(",") if t],
@@ -342,7 +307,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         # regime, where retries and MSHR queueing (the criticality
         # inputs) actually occur.
         algorithms = ("lazy", "eager", "exact", "criticality")
-        _refuse_unsupported_core(args.core, list(algorithms))
         matrix = ExperimentMatrix(
             accesses_per_core=args.scale,
             seed=args.seed,
@@ -486,7 +450,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         print("flexsnoop: --values is empty", file=sys.stderr)
         return 2
-    _refuse_unsupported_core(args.core, [args.algorithm])
     try:
         sweep = run_sweep(
             args.field,

@@ -79,8 +79,7 @@ def run_experiment(
             predictor field is still replaced when ``predictor`` or
             the algorithm default says so).
         core: simulation-core implementation (registry kind ``core``):
-            ``object`` (default), ``soa``, or ``jit`` (numba-compiled
-            kernel with a pure-Python fallback).
+            ``object`` (default) or ``soa``.
         topology: snoop-topology override (registry kind
             ``topology``): None leaves the machine's default single
             ring; e.g. ``hier_ring`` for the two-level machine.

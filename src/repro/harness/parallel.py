@@ -64,9 +64,8 @@ class RunSpec:
     warmup_fraction: float = 0.0
     config: Optional[MachineConfig] = None
     #: Simulation-core implementation (registry kind ``core``):
-    #: ``"object"`` (default), ``"soa"``, or ``"jit"`` (numba-compiled
-    #: flat-array kernel with a pure-Python fallback).  All produce
-    #: bit-identical summaries; the array cores additionally pin
+    #: ``"object"`` (default) or ``"soa"``.  Both produce
+    #: bit-identical summaries; the soa core additionally pins
     #: diagnostic event counts that differ from the object engine, so
     #: non-default cores get their own result-cache entries.
     core: str = "object"

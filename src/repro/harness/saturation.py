@@ -220,8 +220,7 @@ def run_saturation(
 
     The contention knobs (``link_occupancy``,
     ``serialize_snoop_port``) shape every run's ring.  The object and
-    soa cores both model them (bit-identically); ``core="jit"`` refuses
-    them with :class:`~repro.sim.jit.JitUnsupportedError`.
+    soa cores both model them, bit-identically.
 
     Returns one :class:`SaturationCurve` per (algorithm, topology), in
     ``algorithms``-major order; every simulation of the study is fanned

@@ -13,8 +13,8 @@ the full :class:`~repro.config.MachineConfig` and must return a
 :class:`SnoopTopology`.  Every layer of the simulator - the
 :class:`~repro.sim.walker.RingWalker`, the
 :class:`~repro.sim.datapath.DataPathModel`, the
-:class:`~repro.sim.transactions.TransactionManager`, and the soa/jit
-cores - consumes this interface instead of assuming "(i+1) mod N";
+:class:`~repro.sim.transactions.TransactionManager`, and the soa
+core - consumes this interface instead of assuming "(i+1) mod N";
 ring-order arithmetic lives in this package only (enforced by a lint
 test).
 
@@ -24,8 +24,8 @@ flat tables once per run via :meth:`SnoopTopology.export_tables` -
 a successor array plus per-segment latency arrays - and index those in
 the hot loop.  A topology that cannot express itself as one static
 Hamiltonian cycle with fixed per-segment latencies raises
-:class:`TopologyTablesUnavailable` from ``export_tables``; the soa and
-jit cores surface that through the existing ``SoaUnsupportedError``
+:class:`TopologyTablesUnavailable` from ``export_tables``; the soa
+core surfaces that through its ``SoaUnsupportedError``
 envelope (the CLI then falls back to the object core, or fails under
 ``--strict-core``).
 """
@@ -51,8 +51,8 @@ class TopologyTablesUnavailable(NotImplementedError):
     """The topology cannot export static successor/latency tables.
 
     Raised by :meth:`SnoopTopology.export_tables` for topologies whose
-    routing is path-dependent.  The fused soa/jit cores require the
-    tables; they translate this into their ``SoaUnsupportedError``
+    routing is path-dependent.  The fused soa core requires the
+    tables; it translates this into its ``SoaUnsupportedError``
     envelope so the CLI can fall back to the object core.
     """
 

@@ -1,10 +1,10 @@
-"""The simulation-core registry kind: ``object`` vs ``soa`` vs ``jit``.
+"""The simulation-core registry kind: ``object`` vs ``soa``.
 
 A *core* is the engine that actually advances a configured machine
 over a workload: construction signature
 ``(config, algorithm, workload, *, collect_perfect, warmup_fraction,
 trace_sink)`` and a single ``run()`` returning a
-:class:`~repro.sim.system.SimulationResult`.  Three implementations are
+:class:`~repro.sim.system.SimulationResult`.  Two implementations are
 registered:
 
 * ``object`` - the default :class:`~repro.sim.system.RingMultiprocessor`:
@@ -16,14 +16,6 @@ registered:
   for the supported configuration envelope, link and snoop-port
   contention included (the golden and property suites enforce this),
   raises :class:`~repro.sim.soa.SoaUnsupportedError` outside it.
-* ``jit`` - :class:`~repro.sim.jit.JitRingMultiprocessor`: the SoA
-  state flattened into preallocated integer arrays and run by one
-  fused kernel, compiled with numba when importable and executed as
-  plain Python otherwise (same code body, so both paths are covered by
-  the same equivalence suites).  Envelope is the SoA one minus the
-  contention models and algorithms with dynamic ``choose()`` pressure
-  sources; raises
-  :class:`~repro.sim.jit.JitUnsupportedError` outside it.
 
 Select a core through :class:`~repro.harness.parallel.RunSpec`'s
 ``core`` field, ``ExperimentMatrix(core=...)``, or the CLI's
@@ -34,7 +26,6 @@ Select a core through :class:`~repro.harness.parallel.RunSpec`'s
 from __future__ import annotations
 
 from repro.registry import REGISTRY
-from repro.sim.jit import JitRingMultiprocessor
 from repro.sim.soa import SoaRingMultiprocessor
 from repro.sim.system import RingMultiprocessor
 
@@ -57,17 +48,5 @@ REGISTRY.register(
         "description": "struct-of-arrays fused event loop (link "
         "contention included); bit-identical summaries within its "
         "supported envelope",
-    },
-)
-
-REGISTRY.register(
-    "core",
-    "jit",
-    JitRingMultiprocessor,
-    aliases=("compiled", "kernel"),
-    metadata={
-        "description": "flat-array kernel over the SoA state, "
-        "numba-compiled when importable with a pure-Python fallback; "
-        "bit-identical summaries within its supported envelope",
     },
 )

@@ -71,7 +71,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.coherence.protocol import CoherenceError
-from repro.coherence.states import LineState
 from repro.config import MachineConfig, PredictorConfig
 from repro.core.algorithms import SnoopingAlgorithm
 from repro.core.decision import DecisionContext
@@ -93,7 +92,6 @@ __all__ = [
     "SoaRingMultiprocessor",
     "SoaUnsupportedError",
     "check_soa_supported",
-    "soa_envelope_reasons",
 ]
 
 
@@ -114,19 +112,6 @@ def check_soa_supported(
     Link and snoop-port contention are inside the envelope: they are
     plain integer tables the fused loop books in place.
     """
-    reasons = soa_envelope_reasons(config, trace_sink)
-    if reasons:
-        raise SoaUnsupportedError(
-            "core=soa does not support: %s; use core=object"
-            % "; ".join(reasons)
-        )
-
-
-def soa_envelope_reasons(
-    config: MachineConfig, trace_sink: object = None
-) -> List[str]:
-    """The features of ``config`` outside the SoA envelope, one named
-    reason each (empty when the configuration is supported)."""
     reasons = []
     if config.filter_write_snoops:
         reasons.append("filter_write_snoops (presence-filter extension)")
@@ -138,7 +123,11 @@ def soa_envelope_reasons(
         reasons.append("transaction tracing")
     if config.tracing.sample_window > 0:
         reasons.append("tracing.sample_window (metrics timeline)")
-    return reasons
+    if reasons:
+        raise SoaUnsupportedError(
+            "core=soa does not support: %s; use core=object"
+            % "; ".join(reasons)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -146,23 +135,6 @@ def soa_envelope_reasons(
 # no code; flag tables are indexed by the state integer.
 
 _S, _SL, _SG, _E, _D, _T = 0, 1, 2, 3, 4, 5
-
-_INT_OF_STATE = {
-    LineState.S: _S,
-    LineState.SL: _SL,
-    LineState.SG: _SG,
-    LineState.E: _E,
-    LineState.D: _D,
-    LineState.T: _T,
-}
-_STATE_OF_INT = [
-    LineState.S,
-    LineState.SL,
-    LineState.SG,
-    LineState.E,
-    LineState.D,
-    LineState.T,
-]
 
 #: state.supplier / state.local_master / state.dirty by integer code.
 _SUP = (False, False, True, True, True, True)
@@ -180,14 +152,6 @@ _PRIM_INT = {
     Primitive.FORWARD_THEN_SNOOP: _P_FTS,
     Primitive.SNOOP_THEN_FORWARD: _P_STF,
 }
-
-#: Legacy export (pre-decision-seam): algorithms whose ``choose`` was
-#: a pure function of the prediction.  The cores now hoist whatever
-#: ``algorithm.decision_table()`` publishes instead of consulting this
-#: set; it is kept only for external callers pinned to the old name.
-_PURE_CHOICE = frozenset(
-    ("lazy", "eager", "oracle", "subset", "superset_con", "superset_agg", "exact")
-)
 
 # Transaction record slots.
 _T_WRITE = 0  # bool: write transaction
@@ -654,61 +618,6 @@ class SoaRingMultiprocessor:
                 return
             snapshots.append(snapshot)
         memo.predictor_snapshots[self.config.predictor] = snapshots
-
-    # ------------------------------------------------------------------
-    # Array-image export seam
-
-    def export_cache_image(self, set_indices=None):
-        """Yield ``(core_id, set_index, addresses, states)`` for every
-        non-empty cache set, addresses in LRU-first order with
-        integer-coded states.
-
-        This is the construction-time image - materialized dicts plus
-        lazily-pending prewarm arrays (whose ``None`` state array means
-        all-``E``) - and is the seam a flat-array core (``core=jit``)
-        imports its state through.  All versions are 0 at this point:
-        prewarm installs version-0 lines only.
-
-        ``set_indices`` restricts the export to those set indices (in
-        every core): a run can only observe sets its address universe
-        maps to, and skipping the untouched majority of a large
-        prewarm footprint is what keeps flat-array construction
-        proportional to the workload, not the prewarm.
-        """
-        if set_indices is None:
-            indices = None
-        else:
-            indices = sorted(set_indices)
-        for core_id, sets in enumerate(self._core_sets):
-            pending = self._pending_sets[core_id]
-            for set_index in (
-                range(len(sets)) if indices is None else indices
-            ):
-                cache_set = sets[set_index]
-                if cache_set is not None:
-                    if not cache_set:
-                        continue
-                    lines = list(cache_set.values())
-                    yield (
-                        core_id,
-                        set_index,
-                        [line[0] for line in lines],
-                        [line[1] for line in lines],
-                    )
-                else:
-                    entry = pending.get(set_index)
-                    if entry is None:
-                        continue
-                    addresses, states = entry
-                    address_list = addresses.tolist()
-                    yield (
-                        core_id,
-                        set_index,
-                        address_list,
-                        [_E] * len(address_list)
-                        if states is None
-                        else states.tolist(),
-                    )
 
     # ------------------------------------------------------------------
     # The fused run loop

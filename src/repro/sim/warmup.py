@@ -30,7 +30,7 @@ at wiring time) and the bounded prewarm memo store.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.coherence.cache import CacheLine
 from repro.coherence.protocol import CoherenceError
@@ -185,36 +185,6 @@ class WarmupController:
         self.memory.writebacks = 0
         self.memory.prefetches = 0
         self._system.rebind_measurement(stats, energy)
-
-    # ------------------------------------------------------------------
-    # Array-image export seam
-
-    def export_cache_image(
-        self,
-    ) -> Iterator[Tuple[int, int, List[int], List[int]]]:
-        """Yield ``(core_id, set_index, addresses, states)`` for every
-        non-empty cache set, addresses in LRU-first order with states
-        integer-coded exactly as ``repro.sim.soa`` codes them.
-
-        Symmetric to ``SoaRingMultiprocessor.export_cache_image`` so a
-        flat-array core can import prewarm state from either world and
-        equivalence tests can diff the two images directly.
-        """
-        from repro.sim.soa import _INT_OF_STATE
-
-        for core in self.cores:
-            cache = self.nodes[core.cmp_id].caches[core.local_id]
-            core_id = core.cmp_id * self.config.cores_per_cmp + core.local_id
-            for set_index, cache_set in enumerate(cache._sets):
-                if not cache_set:
-                    continue
-                lines = list(cache_set.values())
-                yield (
-                    core_id,
-                    set_index,
-                    [line.address for line in lines],
-                    [_INT_OF_STATE[line.state] for line in lines],
-                )
 
     # ------------------------------------------------------------------
     # Prewarm

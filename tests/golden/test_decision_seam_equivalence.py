@@ -1,16 +1,15 @@
 """28-cell equivalence of the legacy algorithms under the decision seam.
 
 The DecisionPolicy refactor replaced the per-hop ``choose(prediction)``
-callback with hoisted decision tables in both array cores.  This matrix
+callback with hoisted decision tables in the soa core.  This matrix
 pins the refactor's central claim cell by cell: all seven paper
-algorithms, on both array cores, at both warmup settings (7 x 2 x 2 =
-28 cells), produce summaries bit-identical to the object core running
-the identical scenario.
+algorithms, at both warmup settings, produce summaries bit-identical
+to the object core running the identical scenario.
 
 The two post-paper policies ride the same seam and get the stronger
 check: their declared counted outputs (``aggressive_choices`` /
 ``critical_choices``) must match the object core's Python-side tallies
-exactly on both array cores.
+exactly on the soa core.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import pytest
 
 from repro.config import default_machine
 from repro.core.algorithms import build_algorithm
-from repro.sim.jit import JitRingMultiprocessor
 from repro.sim.soa import SoaRingMultiprocessor
 from repro.sim.system import RingMultiprocessor
 from repro.workloads.source import SyntheticSource
@@ -37,10 +35,7 @@ LEGACY_ALGORITHMS = (
     "exact",
 )
 
-ARRAY_CORES = {
-    "soa": SoaRingMultiprocessor,
-    "jit": JitRingMultiprocessor,
-}
+ARRAY_CORES = {"soa": SoaRingMultiprocessor}
 
 WARMUPS = (0.0, 0.3)
 
@@ -119,3 +114,31 @@ def test_hybrid_summary_and_counter_match_object(core):
         == object_algorithm.aggressive_choices
     )
     assert object_algorithm.aggressive_choices > 0
+
+
+@pytest.mark.parametrize("core", sorted(ARRAY_CORES))
+def test_dynamic_hybrid_matches_object(core):
+    """A pressure probe retracts the hybrid's table, so every core calls
+    ``choose`` per hop; the probe sees the same call sequence on each."""
+
+    def run(core_cls):
+        algorithm = build_algorithm("superset_hybrid")
+        calls = [0]
+
+        def pressure() -> bool:
+            calls[0] += 1
+            return calls[0] % 3 == 0
+
+        algorithm.set_energy_pressure(pressure)
+        assert algorithm.decision_table() is None
+        result = core_cls(
+            _machine("superset_hybrid"),
+            algorithm,
+            SyntheticSource(PROFILE),
+            warmup_fraction=0.3,
+        ).run()
+        return result.summary(), algorithm.aggressive_choices, calls[0]
+
+    object_run = run(RingMultiprocessor)
+    assert run(ARRAY_CORES[core]) == object_run
+    assert object_run[2] > object_run[1] > 0

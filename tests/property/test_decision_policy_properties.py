@@ -6,8 +6,8 @@ yields the same primitive, the published
 :class:`~repro.core.decision.DecisionTable` (when any) agrees with
 ``choose`` everywhere, and context fields outside the policy's declared
 ``decision_inputs`` never influence the decision.  This is the property
-the array cores rely on when they hoist the table into integers and
-never call back into Python per hop.
+the soa core relies on when it hoists the table into integers and
+never calls back into Python per hop.
 """
 
 from __future__ import annotations

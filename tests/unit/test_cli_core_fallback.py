@@ -1,7 +1,7 @@
 """CLI fallback when a requested core rejects the configuration.
 
-Array cores (``soa``/``jit``) raise ``SoaUnsupportedError`` at
-construction for configurations outside their envelope.  The CLI must
+The array core (``soa``) raises ``SoaUnsupportedError`` at
+construction for configurations outside its envelope.  The CLI must
 not die with a traceback: it falls back to ``core=object`` with a
 one-line stderr notice, unless ``--strict-core`` asks for the hard
 error (clean message, exit 2).  The envelope flags are not yet
@@ -42,10 +42,10 @@ def refusing_run_experiment(monkeypatch):
 def test_run_falls_back_to_object_with_warning(
     refusing_run_experiment, capsys
 ):
-    exit_code = cli.main(["run", "--core", "jit", "--scale", "30"])
+    exit_code = cli.main(["run", "--core", "soa", "--scale", "30"])
     captured = capsys.readouterr()
     assert exit_code == 0
-    assert refusing_run_experiment == ["jit", "object"]
+    assert refusing_run_experiment == ["soa", "object"]
     assert "falling back to core=object" in captured.err
     assert captured.err.count("\n") == 1
     assert "exec time" in captured.out
@@ -53,11 +53,11 @@ def test_run_falls_back_to_object_with_warning(
 
 def test_strict_core_keeps_the_hard_error(refusing_run_experiment, capsys):
     exit_code = cli.main(
-        ["run", "--core", "jit", "--strict-core", "--scale", "30"]
+        ["run", "--core", "soa", "--strict-core", "--scale", "30"]
     )
     captured = capsys.readouterr()
     assert exit_code == 2
-    assert refusing_run_experiment == ["jit"]
+    assert refusing_run_experiment == ["soa"]
     assert "does not support" in captured.err
     assert "falling back" not in captured.err
 

@@ -1,8 +1,8 @@
 """Deterministic unit tests for the contention models: link
 reservation ordering, snoop-port queueing, physical-link descriptors,
-the warmup reset, occupancy instrumentation, and the array-core
-envelope of the contention knobs (end-to-end through the CLI: soa runs
-them, jit falls back to object)."""
+the warmup reset, occupancy instrumentation, and the CLI's core
+fallback (end-to-end: soa runs the contention knobs, and a flag soa
+refuses falls back to object)."""
 
 from __future__ import annotations
 
@@ -256,17 +256,17 @@ def test_render_samples_includes_occupancy_columns():
 
 
 # ----------------------------------------------------------------------
-# Array-core envelope of the contention knobs (genuine end-to-end: the
-# soa core runs them; the jit core refuses the configuration at
-# construction and the CLI falls back to the object core)
+# Core fallback end to end: the soa core runs the contention knobs; a
+# flag outside its envelope (the presence filter) is refused at
+# construction and the CLI falls back to the object core
 
 
-@pytest.mark.parametrize("core", ["jit"])
+@pytest.mark.parametrize("core", ["soa"])
 def test_sweep_cli_falls_back_when_array_core_refuses(core, capsys):
     from repro.harness.cli import main
 
     rc = main([
-        "sweep", "ring.link_occupancy", "--values", "30",
+        "sweep", "filter_write_snoops", "--values", "true",
         "--scale", "60", "--jobs", "1", "--no-cache",
         "--core", core, "--metric", "exec_time",
     ])
@@ -274,19 +274,19 @@ def test_sweep_cli_falls_back_when_array_core_refuses(core, capsys):
     assert rc == 0
     assert "falling back to core=object" in captured.err
     assert (
-        "core=%s does not support: ring.link_occupancy" % core
+        "core=%s does not support: filter_write_snoops" % core
         in captured.err
     )
-    assert "ring.link_occupancy" in captured.out
+    assert "filter_write_snoops" in captured.out
 
 
 def test_sweep_cli_strict_core_fails_hard(capsys):
     from repro.harness.cli import main
 
     rc = main([
-        "sweep", "ring.link_occupancy", "--values", "30",
+        "sweep", "filter_write_snoops", "--values", "true",
         "--scale", "60", "--jobs", "1", "--no-cache",
-        "--core", "jit", "--strict-core",
+        "--core", "soa", "--strict-core",
     ])
     captured = capsys.readouterr()
     assert rc == 2

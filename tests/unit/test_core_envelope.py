@@ -1,13 +1,12 @@
 """The unsupported-configuration envelope, flag by flag.
 
-Both array cores (``soa`` and ``jit``) declare an explicit envelope
-(the contention flags are inside soa's and outside jit's):
-every excluded feature must raise a clean, named
-``SoaUnsupportedError`` at construction - never a mid-run crash or a
-silently wrong result - while the object core runs the identical
-configuration to completion.  One parametrized matrix pins each flag
-to that contract, so adding an envelope hole or a new flag without
-updating ``check_soa_supported``/``check_jit_supported`` fails loudly.
+The array core (``soa``) declares an explicit envelope (the
+contention flags are inside it): every excluded feature must raise a
+clean, named ``SoaUnsupportedError`` at construction - never a
+mid-run crash or a silently wrong result - while the object core runs
+the identical configuration to completion.  One parametrized matrix
+pins each flag to that contract, so adding an envelope hole or a new
+flag without updating ``check_soa_supported`` fails loudly.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.config import default_machine
 from repro.core.algorithms import build_algorithm
 from repro.obs.trace import InMemorySink
 from repro.registry import REGISTRY
-from repro.sim.jit import JitUnsupportedError, check_jit_supported
 from repro.sim.soa import SoaUnsupportedError
 from repro.workloads.source import SyntheticSource
 from repro.workloads.synthetic import SharingProfile
@@ -64,8 +62,8 @@ def _source():
     )
 
 
-#: (flag id, machine kwargs, extra constructor kwargs) outside both
-#: array cores' envelopes.
+#: (flag id, machine kwargs, extra constructor kwargs) outside the soa
+#: envelope.
 ENVELOPE_FLAGS = [
     ("filter_write_snoops", {"filter_write_snoops": True}, {}),
     ("check_invariants", {"check_invariants": True}, {}),
@@ -74,7 +72,7 @@ ENVELOPE_FLAGS = [
     ("sample_window", {"sample_window": 50}, {}),
 ]
 
-#: The contention models: inside the soa envelope, outside jit's.
+#: The contention models: inside the soa envelope.
 CONTENTION_FLAGS = [
     ("link_occupancy", {"link_occupancy": True}, {}),
     ("serialize_snoop_port", {"serialize_snoop_port": True}, {}),
@@ -97,21 +95,14 @@ def _create(core, entry):
     )
 
 
-#: (entry, core) pairs where the array core must refuse the flag.
-REFUSALS = [
-    pytest.param(entry, core, id="%s-%s" % (entry[0], core))
-    for entry in ENVELOPE_FLAGS + CONTENTION_FLAGS
-    for core in ("soa", "jit")
-    if core == "jit" or entry in ENVELOPE_FLAGS
-]
-
-
-@pytest.mark.parametrize("entry, core", REFUSALS)
-def test_array_cores_raise_cleanly_outside_envelope(core, entry):
+@pytest.mark.parametrize(
+    "entry", ENVELOPE_FLAGS, ids=lambda entry: "%s-soa" % entry[0]
+)
+def test_array_cores_raise_cleanly_outside_envelope(entry):
     with pytest.raises(SoaUnsupportedError) as excinfo:
-        _create(core, entry)
+        _create("soa", entry)
     message = str(excinfo.value)
-    assert "core=%s does not support" % core in message
+    assert "core=soa does not support" in message
     assert entry[0] in message
     assert "use core=object" in message
 
@@ -129,20 +120,3 @@ def test_object_core_runs_every_envelope_flag(entry):
     result = _create("object", entry).run()
     assert result.stats.reads + result.stats.writes > 0
 
-
-def test_jit_error_is_a_soa_error_subclass():
-    """CLI fallback handling catches ``SoaUnsupportedError`` once and
-    covers both array cores."""
-    assert issubclass(JitUnsupportedError, SoaUnsupportedError)
-
-
-def test_jit_rejects_dynamic_choose_algorithms():
-    """Algorithms whose ``choose`` consults a live pressure source
-    cannot be table-compiled; the jit envelope names them."""
-
-    machine = _machine()
-    algorithm = build_algorithm("superset_hybrid")
-    algorithm._energy_pressure = lambda: 0.0
-    with pytest.raises(SoaUnsupportedError) as excinfo:
-        check_jit_supported(machine, algorithm)
-    assert "dynamic choose()" in str(excinfo.value)

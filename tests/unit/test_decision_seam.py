@@ -4,8 +4,7 @@ Pins the :mod:`repro.core.decision` contract pointwise (the property
 suite in ``tests/property/test_decision_policy_properties.py`` attacks
 the same contract with random contexts): table evaluation, threshold
 semantics, derived metadata, the ``uses_predictor`` resolution fix,
-and the honest core/algorithm refusal the CLI builds on the registry's
-``decision_inputs``/``dynamic_choose`` metadata.
+and the CLI's algorithm-list parsing.
 """
 
 from __future__ import annotations
@@ -26,11 +25,9 @@ from repro.core.primitives import Primitive
 from repro.harness.cli import (
     _all_algorithm_names,
     _parse_algorithm_list,
-    _refuse_unsupported_core,
     build_parser,
 )
 from repro.registry import REGISTRY
-from repro.sim.soa import SoaUnsupportedError
 from repro.sim.system import RingMultiprocessor
 from repro.workloads.source import SyntheticSource
 from repro.workloads.synthetic import SharingProfile
@@ -200,20 +197,6 @@ def test_system_binds_configured_predictor_kind():
 
 
 # ----------------------------------------------------------------------
-# Registry metadata
-
-
-def test_registry_publishes_decision_metadata():
-    meta = REGISTRY.metadata("algorithm", "criticality")
-    assert meta["decision_inputs"] == ("prediction", "retries", "waiters")
-    assert meta["dynamic_choose"] is False
-    for name in REGISTRY.names("algorithm"):
-        meta = REGISTRY.metadata("algorithm", name)
-        assert "decision_inputs" in meta
-        assert "dynamic_choose" in meta
-
-
-# ----------------------------------------------------------------------
 # CLI surface
 
 
@@ -235,37 +218,6 @@ def test_parse_algorithm_list_accepts_comma_lists():
     merged = _parse_algorithm_list("criticality,all")
     assert merged[0] == "criticality"
     assert set(merged) == set(_all_algorithm_names())
-
-
-def test_refuse_unsupported_core_cites_decision_inputs():
-    REGISTRY.register(
-        "algorithm",
-        "dyn_test_policy",
-        SupersetHybrid,
-        metadata={
-            "decision_inputs": ("prediction", "energy_pressure"),
-            "dynamic_choose": True,
-        },
-    )
-    try:
-        with pytest.raises(SoaUnsupportedError) as excinfo:
-            _refuse_unsupported_core("jit", ["lazy", "dyn_test_policy"])
-        message = str(excinfo.value)
-        assert "core=jit does not support" in message
-        assert "dyn_test_policy" in message
-        assert "energy_pressure" in message
-        assert "use core=object" in message
-    finally:
-        REGISTRY.unregister("algorithm", "dyn_test_policy")
-
-
-def test_refuse_unsupported_core_passes_static_tables():
-    # Every builtin publishes a static table, on any core name; unknown
-    # names are left for the registry's uniform error downstream.
-    _refuse_unsupported_core("jit", _all_algorithm_names())
-    _refuse_unsupported_core("object", ["anything"])
-    _refuse_unsupported_core("no_such_core", ["lazy"])
-    _refuse_unsupported_core("jit", ["no_such_algorithm"])
 
 
 def test_figure_parser_accepts_criticality_options():

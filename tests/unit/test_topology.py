@@ -315,12 +315,11 @@ def test_build_topology_from_machine_config():
 
 # ----------------------------------------------------------------------
 # Dynamic topologies: object-core walker routes per hop; the fused
-# cores refuse through the SoaUnsupportedError envelope.
+# soa core refuses through the SoaUnsupportedError envelope.
 
 
 def test_dynamic_topology_object_core_runs_fused_cores_refuse():
     from repro.harness.experiments import run_experiment
-    from repro.sim.jit import JitUnsupportedError
     from repro.sim.soa import SoaUnsupportedError
 
     REGISTRY.register(
@@ -346,14 +345,6 @@ def test_dynamic_topology_object_core_runs_fused_cores_refuse():
                 accesses_per_core=60,
                 topology="oddfirst",
                 core="soa",
-            )
-        with pytest.raises(JitUnsupportedError):
-            run_experiment(
-                "lazy",
-                "specjbb",
-                accesses_per_core=60,
-                topology="oddfirst",
-                core="jit",
             )
     finally:
         REGISTRY.unregister("topology", "oddfirst")
