@@ -71,12 +71,12 @@ class SupplierPredictor:
     def prewarm_snapshot(self) -> Optional[object]:
         """Capture the predictor's complete state for later restore.
 
-        Used by the system's prewarm memo: training a predictor with a
-        workload's prewarm stream is deterministic, so the resulting
-        state can be captured once and copied into every later
-        predictor built for the same trace.  Returns ``None`` when the
-        predictor does not support snapshotting (then callers must
-        replay the training stream instead).
+        Used by prewarm images (``repro.sim.prewarm``): training a
+        predictor with a workload's prewarm stream is deterministic, so
+        the resulting state can be captured once and copied into every
+        later predictor built for the same prewarm lines.  Returns
+        ``None`` when the predictor does not support snapshotting (then
+        callers must replay the training stream instead).
         """
         return None
 

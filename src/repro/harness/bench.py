@@ -275,6 +275,7 @@ _SUBSYSTEM_FILES: Dict[str, str] = {
     "transactions.py": "engine",
     "system.py": "engine",
     "warmup.py": "engine",
+    "prewarm.py": "prewarm",
     "soa.py": "soa-core",
 }
 
@@ -293,7 +294,8 @@ def measure_breakdown(
     hot path inside one fused frame in ``soa.py``, so its time lands
     in a single ``soa-core`` bucket - per-subsystem attribution inside
     the fused loop would require the very per-call dispatch the core
-    exists to avoid.
+    exists to avoid.  Both cores' prewarm walk (``prewarm.py``) has
+    its own ``prewarm`` bucket.
 
     Profiling overhead inflates the wall clock (cProfile traces every
     call), so the absolute seconds here are not comparable with

@@ -20,7 +20,10 @@ predictor's downgrade bookkeeping.
   :class:`~repro.sim.transactions.TransactionManager` and the facade):
   ``fill`` installs a line in a requester cache, handling the evicted
   victim; ``make_downgrade_handler`` builds the per-CMP callback the
-  Exact predictor invokes on replacement-driven downgrades.
+  Exact predictor invokes on replacement-driven downgrades, and
+  ``record_downgrade`` charges one (the
+  :class:`~repro.sim.warmup.WarmupController` replays a prewarm
+  image's downgrades through it).
 * **Outbound**: completion flows back to the
   :class:`~repro.sim.transactions.TransactionManager`
   (``complete_access``, ``retire``, ``check_version``,
@@ -379,23 +382,31 @@ class DataPathModel:
                 self.stats.downgrade_writebacks += 1
                 self.energy.charge_downgrade_writeback()
             cache.set_state(address, new_state)
-            self.stats.downgrades += 1
-            self.energy.charge_downgrade()
-            self._downgraded.add(address)
-            trace = self._trace
-            if trace is not None:
-                trace.emit(
-                    TraceEvent(
-                        self.engine.now,
-                        EventType.DOWNGRADE,
-                        NO_TXN,
-                        cmp_id,
-                        address,
-                        {"writeback": needs_writeback},
-                    )
-                )
+            self.record_downgrade(cmp_id, address, needs_writeback)
 
         return downgrade
+
+    def record_downgrade(
+        self, cmp_id: int, address: int, writeback: bool
+    ) -> None:
+        """Count and charge one Exact downgrade, after its state
+        change (and any writeback).  The prewarm installer replays an
+        image's downgrades through here."""
+        self.stats.downgrades += 1
+        self.energy.charge_downgrade()
+        self._downgraded.add(address)
+        trace = self._trace
+        if trace is not None:
+            trace.emit(
+                TraceEvent(
+                    self.engine.now,
+                    EventType.DOWNGRADE,
+                    NO_TXN,
+                    cmp_id,
+                    address,
+                    {"writeback": writeback},
+                )
+            )
 
     # ------------------------------------------------------------------
     # Bookkeeping helpers

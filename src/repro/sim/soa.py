@@ -30,12 +30,11 @@ into **one function frame**:
 * **Single-frame counters.**  Every statistic and energy accumulator
   is a local variable of :meth:`SoaRingMultiprocessor.run`; the
   warmup reset is a block of assignments instead of object churn.
-* **Shared, vectorized prewarm.**  The prewarm walk outcome is
-  memoized process-wide (addresses/states as packed ``numpy`` arrays)
-  and - unlike the object core's memo - *also* covers the Exact
-  predictor, whose conflict downgrades make the walk depend on the
-  predictor configuration, so every cell of a matrix column shares
-  one warmup walk.
+* **Lazily installed prewarm.**  The prewarm image from
+  :mod:`repro.sim.prewarm` (the one walk and memo both cores share)
+  keeps each set as address and state tuples; they become
+  ``_pending_sets`` as they are, and a set is materialized into line
+  lists only when the run first touches it.
 
 Equivalence contract
 --------------------
@@ -46,7 +45,7 @@ at the same simulated instant in the same relative event order, and
 every float in the output is either a sum of identically-ordered
 additions of one constant or a single division of integer counters.
 The golden suite (``tests/golden``) and a Hypothesis property test
-(``tests/property/test_core_equivalence.py``) enforce this.
+(``tests/property/test_soa_equivalence_properties.py``) enforce this.
 
 Supported envelope
 ------------------
@@ -65,17 +64,13 @@ fall back to the object core; :func:`check_soa_supported` raises
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coherence.protocol import CoherenceError
-from repro.config import MachineConfig, PredictorConfig
+from repro.config import MachineConfig
 from repro.core.algorithms import SnoopingAlgorithm
 from repro.core.decision import DecisionContext
 from repro.core.predictors import (
-    ExactPredictor,
     PerfectPredictor,
     SupplierPredictor,
     build_predictor,
@@ -85,8 +80,9 @@ from repro.energy.model import EnergyModel
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.stats import PredictorAccuracy, RunStats
 from repro.ring.topology import TopologyTablesUnavailable, build_topology
+from repro.sim.prewarm import SetImage, prewarm_image
 from repro.sim.system import SimulationResult
-from repro.workloads.source import WorkloadSource, as_source, descriptor_key
+from repro.workloads.source import as_source
 
 __all__ = [
     "SoaRingMultiprocessor",
@@ -132,7 +128,8 @@ def check_soa_supported(
 
 # ----------------------------------------------------------------------
 # Integer state coding.  Lines are never resident in state I, so it has
-# no code; flag tables are indexed by the state integer.
+# no code; flag tables are indexed by the state integer.  Prewarm
+# images (``repro.sim.prewarm.E``/``SL``) use the same codes.
 
 _S, _SL, _SG, _E, _D, _T = 0, 1, 2, 3, 4, 5
 
@@ -195,58 +192,18 @@ _OP_RETIRE = 8
 _OP_REISSUE = 9
 
 
-# ----------------------------------------------------------------------
-# Prewarm memo (shared across every SoA machine in the process).
-
-
-class _SoaPrewarmMemo:
-    """Recorded outcome of one prewarm walk over SoA structures.
-
-    ``core_lines`` stores, per core, a dict mapping set index to
-    ``(addresses, states)`` numpy arrays - the bulk of the memo - so a
-    32-cache machine snapshot stays compact.  ``states`` is None when
-    every line is E (any non-Exact predictor).  Restores *share* these
-    dicts read-only as their ``_pending_sets``: a machine only reads
-    the arrays while materializing a set, so restore is O(cores), not
-    O(lines).
-    """
-
-    __slots__ = (
-        "pin",
-        "core_lines",
-        "holder_count",
-        "supplier_of",
-        "ops",
-        "predictor_snapshots",
-        "downgraded",
-        "downgrades",
-        "e_downgrade_ops",
-    )
-
-    def __init__(
-        self,
-        pin: object,
-        core_lines: List[Dict[int, Tuple[Any, Any]]],
-        holder_count: Dict[int, int],
-        supplier_of: Dict[int, Tuple[int, int]],
-        ops: Optional[List[List[int]]],
-    ) -> None:
-        self.pin = pin
-        self.core_lines = core_lines
-        self.holder_count = holder_count
-        self.supplier_of = supplier_of
-        self.ops = ops
-        self.predictor_snapshots: Dict[PredictorConfig, List[object]] = {}
-        self.downgraded: frozenset = frozenset()
-        self.downgrades = 0
-        self.e_downgrade_ops = 0.0
-
-
-_SOA_PREWARM_MEMOS: "OrderedDict[tuple, _SoaPrewarmMemo]" = OrderedDict()
-#: The main matrix keeps six memos live at once (three workloads, each
-#: with one shared non-exact key and one exact key); eight gives
-#: headroom so a full 7x3 sweep never thrashes the memo LRU.
-_SOA_PREWARM_MEMO_LIMIT = 8
+def _build_set(data: Optional[SetImage]) -> Dict[int, List[int]]:
+    """A cache set's ``[address, state, version]`` lines from its
+    pending prewarm content (an empty set when there is none)."""
+    if data is None:
+        return {}
+    addresses, states = data
+    if states is None:
+        return {address: [address, _E, 0] for address in addresses}
+    return {
+        address: [address, state, 0]
+        for address, state in zip(addresses, states)
+    }
 
 
 class SoaRingMultiprocessor:
@@ -300,17 +257,18 @@ class SoaRingMultiprocessor:
         # Per-core cache state: one dict per set, insertion order = LRU
         # order, values are [address, state_int, version] lists.  Sets
         # start as ``None`` placeholders and materialize on first touch
-        # (from ``_pending_sets`` when a prewarm memo restored content
+        # (from ``_pending_sets`` when the prewarm image has content
         # for them): a short run visits a small fraction of the
         # num_cores x num_sets grid, and skipping the untouched
-        # majority makes construction - the prewarm restore above all -
+        # majority makes construction - the prewarm install above all -
         # nearly free.
         self._core_sets: List[List[Optional[Dict[int, List[int]]]]] = [
             [None] * num_sets for _ in range(num_cores)
         ]
-        #: Lazily-restored prewarm content: per core, set index ->
-        #: (address array, state array or None-for-all-E).
-        self._pending_sets: List[Dict[int, tuple]] = [
+        #: Lazily installed prewarm content: per core, set index ->
+        #: (address tuple, state tuple or None-for-all-E), shared
+        #: read-only with the prewarm image.
+        self._pending_sets: List[Dict[int, SetImage]] = [
             {} for _ in range(num_cores)
         ]
         self._supplier_of: Dict[int, Tuple[int, int]] = {}
@@ -320,19 +278,8 @@ class SoaRingMultiprocessor:
         self._predictors: List[SupplierPredictor] = [
             build_predictor(config.predictor) for _ in range(num_cmps)
         ]
-        # Prewarm-time stat/energy charges (an Exact predictor's
-        # conflict downgrades fire during the walk, exactly as the
-        # object core charges them on its construction-time stats).
-        self._init_downgrades = 0
-        self._init_downgrade_writebacks = 0
-        self._init_e_downgrade_ops = 0.0
-        self._init_e_downgrade_memory = 0.0
         for cmp_id, predictor in enumerate(self._predictors):
-            if isinstance(predictor, ExactPredictor):
-                predictor.set_downgrade_callback(
-                    self._make_prewarm_downgrade(cmp_id)
-                )
-            elif isinstance(predictor, PerfectPredictor):
+            if isinstance(predictor, PerfectPredictor):
                 predictor.set_truth(self._make_truth(cmp_id))
         #: Occupancy counters with RingWalker's semantics (cumulative
         #: link-reservation cycles and snoop-port queueing delay, never
@@ -340,7 +287,24 @@ class SoaRingMultiprocessor:
         self.link_busy_cycles = 0
         self.port_wait_cycles = 0
         self._ran = False
-        self._apply_prewarm()
+        # Prewarm-time stat/energy charges: an Exact image's conflict
+        # downgrades, charged as the object core charges them on its
+        # construction-time stats.
+        self._init_downgrades = 0
+        self._init_e_downgrade_ops = 0.0
+        image = prewarm_image(source, config)
+        if image is not None:
+            self._pending_sets = image.sets
+            self._holder_count.update(image.holder_count)
+            self._supplier_of.update(image.supplier_of)
+            image.train(self._predictors, config.predictor)
+            for addresses in image.downgrades:
+                for address in addresses:
+                    self._init_downgrades += 1
+                    self._init_e_downgrade_ops += (
+                        config.energy.downgrade_cache_access
+                    )
+                    self._downgraded.add(address)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -353,271 +317,6 @@ class SoaRingMultiprocessor:
             return entry is not None and entry[0] == cmp_id
 
         return truth
-
-    def _make_prewarm_downgrade(self, cmp_id: int) -> Callable[[int], None]:
-        """Exact conflict-downgrade handler for the prewarm phase
-        (the run loop rebinds its own, counting into run-local
-        accumulators); transliterates
-        ``DataPathModel.make_downgrade_handler``."""
-
-        def downgrade(address: int) -> None:
-            cpc = self.config.cores_per_cmp
-            num_sets = self.config.cache.num_sets
-            base = cmp_id * cpc
-            set_index = address % num_sets
-            line = None
-            local = 0
-            for local in range(cpc):
-                cache_set = self._core_sets[base + local][set_index]
-                candidate = (
-                    cache_set.get(address) if cache_set is not None else None
-                )
-                if candidate is not None and _SUP[candidate[1]]:
-                    line = candidate
-                    break
-            if line is None:
-                return
-            if _DIRTY[line[1]]:
-                version = line[2]
-                current = self._mem_versions.get(address, 0)
-                if version >= current:
-                    self._mem_versions[address] = version
-                self._init_downgrade_writebacks += 1
-                self._init_e_downgrade_memory += (
-                    self.config.energy.memory_line_access
-                )
-            # set_state(SL): supplier loss fires predictor removal then
-            # registry cleanup, in the object core's callback order.
-            line[1] = _SL
-            self._predictors[cmp_id].remove(address)
-            if self._supplier_of.get(address) == (cmp_id, local):
-                del self._supplier_of[address]
-            self._init_downgrades += 1
-            self._init_e_downgrade_ops += (
-                self.config.energy.downgrade_cache_access
-            )
-            self._downgraded.add(address)
-
-        return downgrade
-
-    # ------------------------------------------------------------------
-    # Prewarm walk + memo
-
-    def _apply_prewarm(self) -> None:
-        """Install the workload's prewarm lines (transliteration of
-        ``WarmupController.apply_prewarm`` over SoA structures).
-
-        Unlike the object core's memo, the SoA memo also covers the
-        Exact predictor: its conflict downgrades make the walk depend
-        on the predictor configuration, so those entries are keyed by
-        it - and a whole matrix column (every algorithm x one
-        workload) then shares warmup state instead of re-walking.
-        """
-        source = self.source
-        prewarm = source.prewarm()
-        if not prewarm:
-            return
-        config = self.config
-        kind = config.predictor.kind
-        is_exact = kind == "exact"
-        num_sets = config.cache.num_sets
-        associativity = config.cache.associativity
-        descriptor = source.descriptor()
-        pin: object
-        pred_key = config.predictor if is_exact else None
-        if descriptor is not None:
-            key = (
-                "desc",
-                descriptor_key(descriptor),
-                num_sets,
-                associativity,
-                pred_key,
-            )
-            pin = source
-            memo = _SOA_PREWARM_MEMOS.get(key)
-            if memo is not None:
-                self._restore_prewarm(memo)
-                return
-        else:
-            trace = source.materialize()
-            key = ("id", id(trace), num_sets, associativity, pred_key)
-            pin = trace
-            memo = _SOA_PREWARM_MEMOS.get(key)
-            if memo is not None and memo.pin is trace:
-                self._restore_prewarm(memo)
-                return
-
-        # Full walk.  ``ops`` records the predictor training stream so
-        # a later machine with a *different* (non-exact) predictor can
-        # restore from the same cache-content memo.  It is recorded
-        # even when this run has no predictor table: the stream only
-        # depends on cache geometry, and a predictor-less walk may be
-        # the one that populates the memo a subset/superset run later
-        # restores from.
-        ops: Optional[List[List[int]]] = None if is_exact else []
-        core_sets = self._core_sets
-        # A full walk touches sets all over the grid, so materialize
-        # every set eagerly and let the walk below run check-free.
-        for core_id in range(len(core_sets)):
-            core_sets[core_id] = [{} for _ in range(num_sets)]
-        supplier_of = self._supplier_of
-        holder_count = self._holder_count
-        predictors = self._predictors
-        cpc = config.cores_per_cmp
-        has_pred_table = kind not in ("none", "perfect")
-        for core_id, lines in enumerate(prewarm):
-            cmp_id = core_id // cpc
-            local_id = core_id % cpc
-            home_key = (cmp_id, local_id)
-            sets = core_sets[core_id]
-            if has_pred_table:
-                predictor_insert = predictors[cmp_id].insert
-                predictor_remove = predictors[cmp_id].remove
-            else:
-                predictor_insert = predictor_remove = None  # type: ignore
-            core_ops: List[int] = []
-            if ops is not None:
-                ops.append(core_ops)
-            for address in reversed(lines):
-                cache_set = sets[address % num_sets]
-                line = cache_set.get(address)
-                if line is not None:
-                    # Duplicate prewarm line: generic fill-in-place
-                    # (state callbacks fire if an Exact downgrade had
-                    # demoted it to SL).
-                    old_state = line[1]
-                    line[1] = _E
-                    line[2] = 0
-                    if not _SUP[old_state]:
-                        existing = supplier_of.get(address)
-                        if existing is not None and existing != home_key:
-                            raise CoherenceError(
-                                "line %#x gained supplier at %s while %s "
-                                "still holds it"
-                                % (address, home_key, existing)
-                            )
-                        supplier_of[address] = home_key
-                        if predictor_insert is not None:
-                            predictor_insert(address)
-                    del cache_set[address]
-                    cache_set[address] = line
-                    continue
-                if len(cache_set) >= associativity:
-                    victim_address = next(iter(cache_set))
-                    victim = cache_set.pop(victim_address)
-                    if _SUP[victim[1]]:
-                        if ops is not None:
-                            core_ops.append(~victim_address)
-                        if predictor_remove is not None:
-                            predictor_remove(victim_address)
-                        if supplier_of.get(victim_address) == home_key:
-                            del supplier_of[victim_address]
-                    count = holder_count.get(victim_address, 0) - 1
-                    if count <= 0:
-                        holder_count.pop(victim_address, None)
-                    else:
-                        holder_count[victim_address] = count
-                cache_set[address] = [address, _E, 0]
-                holder_count[address] = holder_count.get(address, 0) + 1
-                existing = supplier_of.get(address)
-                if existing is not None and existing != home_key:
-                    raise CoherenceError(
-                        "line %#x gained supplier at %s while %s still "
-                        "holds it" % (address, home_key, existing)
-                    )
-                supplier_of[address] = home_key
-                if ops is not None:
-                    core_ops.append(address)
-                if predictor_insert is not None:
-                    predictor_insert(address)
-        self._record_prewarm(key, ops, pin)
-
-    def _record_prewarm(
-        self,
-        key: tuple,
-        ops: Optional[List[List[int]]],
-        pin: object,
-    ) -> None:
-        is_exact = self.config.predictor.kind == "exact"
-        core_lines: List[Dict[int, Tuple[Any, Any]]] = []
-        for sets in self._core_sets:
-            recorded: Dict[int, Tuple[Any, Any]] = {}
-            for set_index, cache_set in enumerate(sets):
-                if not cache_set:
-                    continue
-                addresses = np.fromiter(
-                    cache_set, dtype=np.int64, count=len(cache_set)
-                )
-                states = None
-                if is_exact:
-                    states = np.fromiter(
-                        (line[1] for line in cache_set.values()),
-                        dtype=np.int8,
-                        count=len(cache_set),
-                    )
-                recorded[set_index] = (addresses, states)
-            core_lines.append(recorded)
-        memo = _SoaPrewarmMemo(
-            pin,
-            core_lines,
-            dict(self._holder_count),
-            dict(self._supplier_of),
-            ops,
-        )
-        if is_exact:
-            memo.downgraded = frozenset(self._downgraded)
-            memo.downgrades = self._init_downgrades
-            memo.e_downgrade_ops = self._init_e_downgrade_ops
-        self._store_predictor_snapshot(memo)
-        _SOA_PREWARM_MEMOS[key] = memo
-        while len(_SOA_PREWARM_MEMOS) > _SOA_PREWARM_MEMO_LIMIT:
-            _SOA_PREWARM_MEMOS.popitem(last=False)
-
-    def _restore_prewarm(self, memo: _SoaPrewarmMemo) -> None:
-        # Don't build the line dicts here: a short run touches a small
-        # fraction of the restored sets, so the memo's per-core array
-        # dicts become ``_pending_sets`` directly (shared, read-only -
-        # ``materialize`` only reads them; re-entry is guarded by the
-        # ``core_sets`` None check) and ``run()`` materializes a set
-        # the first time something looks at it.
-        self._pending_sets = memo.core_lines
-        self._holder_count.update(memo.holder_count)
-        self._supplier_of.update(memo.supplier_of)
-        kind = self.config.predictor.kind
-        if kind == "exact":
-            self._downgraded.update(memo.downgraded)
-            self._init_downgrades = memo.downgrades
-            self._init_e_downgrade_ops = memo.e_downgrade_ops
-        if kind in ("none", "perfect"):
-            return
-        snapshots = memo.predictor_snapshots.get(self.config.predictor)
-        if snapshots is not None:
-            for predictor, snapshot in zip(self._predictors, snapshots):
-                predictor.prewarm_restore(snapshot)
-            return
-        assert memo.ops is not None
-        cpc = self.config.cores_per_cmp
-        for core_id, core_ops in enumerate(memo.ops):
-            predictor = self._predictors[core_id // cpc]
-            insert = predictor.insert
-            remove = predictor.remove
-            for op in core_ops:
-                if op >= 0:
-                    insert(op)
-                else:
-                    remove(~op)
-        self._store_predictor_snapshot(memo)
-
-    def _store_predictor_snapshot(self, memo: _SoaPrewarmMemo) -> None:
-        if self.config.predictor.kind in ("none", "perfect"):
-            return
-        snapshots: List[object] = []
-        for predictor in self._predictors:
-            snapshot = predictor.prewarm_snapshot()
-            if snapshot is None:
-                return
-            snapshots.append(snapshot)
-        memo.predictor_snapshots[self.config.predictor] = snapshots
 
     # ------------------------------------------------------------------
     # The fused run loop
@@ -793,27 +492,13 @@ class SoaRingMultiprocessor:
         mem_versions = self._mem_versions
 
         def materialize(core_id: int, set_index: int) -> Dict[int, List[int]]:
-            """Build a cache set on first touch.  Restored prewarm
-            content waits in ``pending_sets`` as numpy arrays (shared
-            read-only with the memo) until something actually looks at
-            the set; everything else starts empty.  Access sites check
+            """Build a cache set on first touch.  Prewarm content waits
+            in ``pending_sets`` as tuples (shared read-only with
+            the prewarm image) until something actually looks at the
+            set; everything else starts empty.  Access sites check
             ``is None`` inline and only pay this call once per touched
             set."""
-            data = pending_sets[core_id].get(set_index)
-            if data is None:
-                cache_set: Dict[int, List[int]] = {}
-            elif data[1] is None:
-                cache_set = {
-                    address: [address, _E, 0]
-                    for address in data[0].tolist()
-                }
-            else:
-                cache_set = {
-                    address: [address, state, 0]
-                    for address, state in zip(
-                        data[0].tolist(), data[1].tolist()
-                    )
-                }
+            cache_set = _build_set(pending_sets[core_id].get(set_index))
             core_sets[core_id][set_index] = cache_set
             return cache_set
 
@@ -836,14 +521,14 @@ class SoaRingMultiprocessor:
         p_tp = p_tn = 0  # perfect-predictor accuracy (TP/TN only)
         writebacks = dirty_evictions = 0
         downgrades = self._init_downgrades
-        downgrade_writebacks = self._init_downgrade_writebacks
+        downgrade_writebacks = 0
         downgrade_rereads = 0
         read_miss_latency_sum = read_miss_count = 0
         supplier_latency_sum = supplier_latency_count = 0
         histogram = LatencyHistogram()
         e_ring = e_snoop = 0.0
         e_dops = self._init_e_downgrade_ops
-        e_dmem = self._init_e_downgrade_memory
+        e_dmem = 0.0
 
         # --- machine state --------------------------------------------
         heap: List[tuple] = []

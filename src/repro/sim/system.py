@@ -19,7 +19,7 @@ facade (see ``docs/architecture.md`` for the full picture):
 * :class:`~repro.sim.datapath.DataPathModel` - torus data replies,
   home-memory timing (with the prefetch heuristic), fills/evictions,
   and Exact-predictor downgrades.
-* :class:`~repro.sim.warmup.WarmupController` - prewarm memoization
+* :class:`~repro.sim.warmup.WarmupController` - prewarm installation
   and the warmup-window measurement reset.
 
 The facade owns what the subsystems share: the event engine, the
@@ -81,11 +81,7 @@ from repro.sim.memory import MainMemory
 from repro.sim.processor import Core, build_cores, build_cores_from_source
 from repro.sim.transactions import Transaction, TransactionManager
 from repro.sim.walker import RingWalker
-from repro.sim.warmup import (
-    _PREWARM_MEMOS,
-    _PrewarmMemo,
-    WarmupController,
-)
+from repro.sim.warmup import WarmupController
 from repro.workloads.source import WorkloadSource, as_source
 from repro.workloads.synthetic import SharingProfile
 from repro.workloads.trace import WorkloadTrace
@@ -95,9 +91,6 @@ __all__ = [
     "SimulationResult",
     "Transaction",
 ]
-
-# Re-exported for callers (and tests) that predate the decomposition.
-_ = (_PREWARM_MEMOS, _PrewarmMemo, Transaction)
 
 
 @dataclass

@@ -8,7 +8,7 @@ A source knows its geometry (cores, CMP population) and can
 * stream one core's accesses lazily (:meth:`WorkloadSource.core_stream`),
 * report a **stable descriptor**: a JSON-able payload that identifies
   the access stream *content* independently of any in-memory object,
-  so result-cache keys and prewarm memos survive process boundaries,
+  so result-cache keys survive process boundaries,
 * materialize the full trace when a consumer genuinely needs it.
 
 Three built-in sources cover the pipeline:
@@ -101,9 +101,9 @@ class WorkloadSource:
     def descriptor(self) -> Optional[Dict[str, Any]]:
         """Stable JSON-able identity of the access-stream content.
 
-        ``None`` means "no stable identity": consumers fall back to
-        object identity (prewarm memos) or spec-field fingerprints
-        (result cache).
+        ``None`` means "no stable identity": the result cache falls
+        back to spec-field fingerprints.  (Prewarm images are keyed on
+        the prewarm lines themselves, so they need no descriptor.)
         """
         return None
 
@@ -165,8 +165,8 @@ class SyntheticSource(WorkloadSource):
     The profile fully determines the generated trace (generation is
     seeded), so the descriptor is simply the profile's field dict and
     two sources built from equal profiles are interchangeable - the
-    result cache and the prewarm memo treat them as the same workload
-    without either ever generating just to compare.
+    result cache treats them as the same workload without ever
+    generating just to compare.
     """
 
     def __init__(self, profile: SharingProfile) -> None:
@@ -191,8 +191,8 @@ class SyntheticSource(WorkloadSource):
         profile = dataclasses.asdict(self.profile)
         if profile.get("think_scale") == 1.0:
             # The default pacing generates a bit-identical trace, so
-            # eliding the field keeps every pre-existing cache and
-            # prewarm key stable.
+            # eliding the field keeps every pre-existing cache key
+            # stable.
             del profile["think_scale"]
         return {"kind": "synthetic", "profile": profile}
 

@@ -7,12 +7,19 @@ import dataclasses
 
 import pytest
 
-from repro.config import CacheConfig, default_machine
+from repro.config import (
+    NAMED_PREDICTORS,
+    CacheConfig,
+    PredictorConfig,
+    default_machine,
+)
 from repro.coherence.states import LineState
 from repro.core.algorithms import build_algorithm
-from repro.sim import system as system_module
+from repro.registry import REGISTRY
+from repro.sim import prewarm as prewarm_module
+from repro.sim.soa import _build_set
 from repro.sim.system import RingMultiprocessor
-from repro.sim.warmup import WarmupController
+from repro.workloads.source import SyntheticSource, as_source
 from repro.workloads.synthetic import SharingProfile, generate_workload
 
 
@@ -170,17 +177,16 @@ def test_prewarm_mismatched_length_rejected():
 
 
 # ----------------------------------------------------------------------
-# Prewarm fast path and memo (referenced from
-# RingMultiprocessor._apply_prewarm's docstring)
+# Prewarm walk and image store (repro.sim.prewarm)
 
 
-def overflow_profile(seed=11):
+def overflow_profile(seed=11, cores_per_cmp=1, think_scale=1.0):
     """Private pool at 2x cache capacity, so prewarm exercises the
     conflict-eviction branch as well as plain fills."""
     return SharingProfile(
         name="overflow",
         num_cores=4,
-        cores_per_cmp=1,
+        cores_per_cmp=cores_per_cmp,
         accesses_per_core=100,
         p_shared=0.2,
         p_cold=0.05,
@@ -188,176 +194,313 @@ def overflow_profile(seed=11):
         private_lines=512,
         prewarm_fraction=1.0,
         seed=seed,
+        think_scale=think_scale,
     )
 
 
-def build_for(algorithm, workload):
+def build_for(algorithm, workload, core="object", predictor=None, **overrides):
+    """``algorithm`` on a small machine shaped to ``workload``, with its
+    default predictor unless ``predictor`` (a ``PredictorConfig``)."""
+    source = as_source(workload)
     machine = default_machine(
         algorithm=algorithm,
-        num_cmps=4,
-        cores_per_cmp=1,
+        num_cmps=source.num_cmps,
+        cores_per_cmp=source.cores_per_cmp,
         cache=CacheConfig(num_lines=256, associativity=8),
+        **overrides,
     )
-    return RingMultiprocessor(
-        machine, build_algorithm(algorithm), workload
+    if predictor is not None:
+        machine = machine.replace(predictor=predictor)
+    return REGISTRY.create(
+        "core", core, machine, build_algorithm(algorithm), workload
     )
+
+
+#: Line states by the soa core's integer codes.
+SOA_STATES = (
+    LineState.S,
+    LineState.SL,
+    LineState.SG,
+    LineState.E,
+    LineState.D,
+    LineState.T,
+)
+
+
+def cache_sets(system):
+    """Per core, per set: ``(address, state, version)`` in LRU order.
+    The soa core's sets are materialized from its pending arrays."""
+    if isinstance(system, RingMultiprocessor):
+        return [
+            [
+                [
+                    (address, line.state, line.version)
+                    for address, line in cache_set.items()
+                ]
+                for cache_set in system.nodes[core.cmp_id]
+                .caches[core.local_id]
+                ._sets
+            ]
+            for core in system.cores
+        ]
+    return [
+        [
+            [
+                (address, SOA_STATES[state], version)
+                for address, state, version in (
+                    cache_set
+                    if cache_set is not None
+                    else _build_set(pending.get(index))
+                ).values()
+            ]
+            for index, cache_set in enumerate(sets)
+        ]
+        for sets, pending in zip(system._core_sets, system._pending_sets)
+    ]
 
 
 def machine_state(system):
-    """Everything prewarm touches, in comparable form: per-core cache
-    contents in LRU order, fill/eviction counters, the line registry,
-    and per-node predictor state."""
-    caches = []
-    for core in system.cores:
-        cache = system.nodes[core.cmp_id].caches[core.local_id]
-        caches.append(
-            (
-                [
-                    [
-                        (address, line.state, line.version)
-                        for address, line in cache_set.items()
-                    ]
-                    for cache_set in cache._sets
-                ],
-                cache.fills,
-                cache.evictions,
-                cache.dirty_evictions,
-            )
+    """Everything prewarm touches, in comparable form: cache contents
+    in LRU order, the line registry, per-CMP predictor state and the
+    downgrade charges, plus (object core only) the fill/eviction
+    counters and the presence filters."""
+    if isinstance(system, RingMultiprocessor):
+        predictors = [node.predictor for node in system.nodes]
+        downgrades = (
+            system.stats.downgrades,
+            system.energy.breakdown.downgrade_ops,
+            system.datapath._downgraded,
         )
-    predictors = [
-        node.predictor.prewarm_snapshot() for node in system.nodes
-    ]
-    return (
-        caches,
-        dict(system._supplier_of),
-        dict(system._holder_count),
-        predictors,
-    )
+        extra = (
+            [
+                (cache.fills, cache.evictions, cache.dirty_evictions)
+                for node in system.nodes
+                for cache in node.caches
+            ],
+            [
+                (p.filter.snapshot(), p.lookups, p.updates, p.filtered)
+                for p in system.presence
+            ],
+        )
+    else:
+        predictors = system._predictors
+        downgrades = (
+            system._init_downgrades,
+            system._init_e_downgrade_ops,
+            system._downgraded,
+        )
+        extra = None
+    return {
+        "caches": cache_sets(system),
+        "supplier_of": dict(system._supplier_of),
+        "holder_count": dict(system._holder_count),
+        "predictors": [p.prewarm_snapshot() for p in predictors],
+        "downgrades": downgrades,
+        "extra": extra,
+    }
 
 
-def test_prewarm_fast_path_matches_generic_fill():
-    """The inlined prewarm walk must be observably identical to
-    filling every line through the generic (callback-driven)
-    ``cache.fill`` path."""
-    workload = generate_workload(overflow_profile())
+@pytest.fixture
+def image_walks(monkeypatch):
+    """Start from an empty image store and record every prewarm walk."""
+    prewarm_module._IMAGES.clear()
+    walks = []
+    original = prewarm_module._walk
+
+    def spy(*args):
+        walks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(prewarm_module, "_walk", spy)
+    yield walks
+    prewarm_module._IMAGES.clear()
+
+
+#: (algorithm, predictor, machine overrides) per oracle case.  The
+#: 512-entry predictors conflict on two cores' resident lines, so
+#: Subset drops entries and Exact downgrades lines; a 64-entry Exact
+#: predictor downgrades lines a core refills later.
+ORACLE_CASES = {
+    "subset": ("subset", NAMED_PREDICTORS["Sub512"], {}),
+    "exact": ("exact", NAMED_PREDICTORS["Exa512"], {}),
+    "exact_refill": ("exact", PredictorConfig(kind="exact", entries=64), {}),
+    "write_filter": (
+        "subset",
+        NAMED_PREDICTORS["Sub512"],
+        {"filter_write_snoops": True},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case,core",
+    [
+        ("subset", "object"),
+        ("subset", "soa"),
+        ("exact", "object"),
+        ("exact", "soa"),
+        ("exact_refill", "object"),
+        ("exact_refill", "soa"),
+        ("write_filter", "object"),
+    ],
+)
+def test_prewarm_fast_path_matches_generic_fill(case, core, image_walks):
+    """Installing the prewarm image must be observably identical to
+    filling every line through the object core's generic
+    (callback-driven) ``cache.fill`` path, on both cores."""
+    algorithm, predictor, overrides = ORACLE_CASES[case]
+    workload = generate_workload(overflow_profile(cores_per_cmp=2))
     assert workload.prewarm
-    fast = build_for("subset", workload)
+    if case == "exact_refill":
+        # Every line listed twice: a line an Exact downgrade left in SL
+        # regains E when it is filled again.
+        workload = dataclasses.replace(
+            workload, prewarm=[lines[:100] * 2 for lines in workload.prewarm]
+        )
+    fast = build_for(algorithm, workload, core, predictor, **overrides)
+    assert len(image_walks) == 1
 
     bare = dataclasses.replace(workload, prewarm=[])
-    generic = build_for("subset", bare)
-    for core, lines in zip(generic.cores, workload.prewarm):
-        cache = generic.nodes[core.cmp_id].caches[core.local_id]
+    generic = build_for(algorithm, bare, "object", predictor, **overrides)
+    for core_, lines in zip(generic.cores, workload.prewarm):
+        cache = generic.nodes[core_.cmp_id].caches[core_.local_id]
         for address in reversed(lines):
             cache.fill(address, LineState.E, 0)
 
-    assert machine_state(fast) == machine_state(generic)
-    # The overflow pool must actually have exercised evictions, or the
-    # comparison above proves less than it claims.
-    assert any(state[2] > 0 for state in machine_state(fast)[0])
+    expected = machine_state(generic)
+    counters = expected["extra"][0]
+    if core == "soa":
+        expected["extra"] = None
+    assert machine_state(fast) == expected
+    # The overflow pool must actually have exercised evictions (and
+    # Exact its downgrades), or the comparison proves less than it
+    # claims.
+    assert any(evictions for _, evictions, _ in counters)
+    if algorithm == "exact":
+        assert expected["downgrades"][0] > 0
+    if case == "exact_refill":
+        assert any(
+            cache.state_of(address) is LineState.E
+            for address in generic.datapath._downgraded
+            for node in generic.nodes
+            for cache in node.caches
+        )
+    if case == "write_filter":
+        assert all(p.updates > 0 for p in generic.presence)
 
 
 @pytest.mark.parametrize("algorithm", ["oracle", "subset", "superset_con"])
-def test_prewarm_memo_matches_full_walk(algorithm, monkeypatch):
-    """Restoring a recorded prewarm memo must leave the machine in
-    exactly the state a full walk produces, and the run built on top
-    of it must be bit-identical."""
-    system_module._PREWARM_MEMOS.clear()
+def test_prewarm_memo_matches_full_walk(algorithm, image_walks):
+    """Installing a stored image must leave the machine in exactly the
+    state a full walk produces, and the run built on top of it must be
+    bit-identical."""
     workload = generate_workload(overflow_profile())
+    first = build_for(algorithm, workload)  # walks and stores the image
+    assert len(image_walks) == 1
+    assert len(prewarm_module._IMAGES) == 1
 
-    restored = []
-    original = WarmupController._restore_prewarm
+    memoized = build_for(algorithm, workload)  # must hit the store
+    assert len(image_walks) == 1
 
-    def spy(self, memo):
-        restored.append(memo)
-        return original(self, memo)
-
-    monkeypatch.setattr(WarmupController, "_restore_prewarm", spy)
-
-    first = build_for(algorithm, workload)  # records the memo
-    assert not restored
-    assert len(system_module._PREWARM_MEMOS) == 1
-
-    memoized = build_for(algorithm, workload)  # must hit the memo
-    assert len(restored) == 1
-
-    # An equal-but-distinct trace object misses the identity-keyed
-    # memo and takes the full walk again: the reference state.
-    walked = build_for(algorithm, generate_workload(overflow_profile()))
-    assert len(restored) == 1
+    prewarm_module._IMAGES.clear()
+    walked = build_for(algorithm, workload)  # the reference: a full walk
+    assert len(image_walks) == 2
 
     assert machine_state(memoized) == machine_state(walked)
     assert machine_state(memoized) == machine_state(first)
     assert memoized.run().summary() == walked.run().summary()
 
 
-def test_prewarm_memo_skipped_for_exact_predictor():
+def test_no_core_keeps_an_exact_image(image_walks):
     """Exact's conflict downgrades let predictor training feed back
-    into cache state, so its prewarm is never memoized."""
-    system_module._PREWARM_MEMOS.clear()
+    into cache state, so each construction walks its own Exact image
+    and neither core stores it."""
     workload = generate_workload(overflow_profile())
-    build_for("exact", workload)
-    assert not system_module._PREWARM_MEMOS
+    for core in ("object", "soa", "object"):
+        build_for("exact", workload, core)
+    assert len(image_walks) == 3
+    assert not prewarm_module._IMAGES
 
 
-def test_prewarm_memo_rekeyed_on_source_descriptor(monkeypatch):
-    """Two *distinct* sources with equal descriptors (same profile)
-    share one memo: the content-addressed key replaces the old
-    object-identity key whenever a source publishes a descriptor."""
-    from repro.workloads.source import SyntheticSource
+def test_object_then_soa_build_walks_once(image_walks):
+    """The store is shared by both cores: a soa machine built after an
+    object machine on the same source installs the same image."""
+    source = SyntheticSource(overflow_profile())
+    obj = build_for("subset", source, "object")
+    soa = build_for("subset", source, "soa")
+    assert len(image_walks) == 1
+    assert obj.run().summary() == soa.run().summary()
 
-    system_module._PREWARM_MEMOS.clear()
 
-    restored = []
-    original = WarmupController._restore_prewarm
+def test_prewarm_image_keyed_on_content(image_walks, monkeypatch):
+    """Distinct sources with equal prewarm lines share one image, and
+    a source's lines are hashed once however often it is built."""
+    hashed = []
+    original = prewarm_module._hash_lines
 
-    def spy(self, memo):
-        restored.append(memo)
-        return original(self, memo)
+    def spy(lines):
+        hashed.append(lines)
+        return original(lines)
 
-    monkeypatch.setattr(WarmupController, "_restore_prewarm", spy)
+    monkeypatch.setattr(prewarm_module, "_hash_lines", spy)
+    source = SyntheticSource(overflow_profile())
+    first = build_for("subset", source)
+    build_for("superset_con", source)
+    assert len(image_walks) == 1
+    assert len(hashed) == 1
 
-    first = build_for("subset", SyntheticSource(overflow_profile()))
-    assert not restored
-    assert len(system_module._PREWARM_MEMOS) == 1
-    (key,) = system_module._PREWARM_MEMOS
-    assert key[0] == "desc"
-
-    # A brand-new source object, equal profile: memo hit.
+    # A brand-new source object with an equal profile, and variants
+    # with other descriptors but the same prewarm lines (another think
+    # scale, another seed: the private pools do not depend on either):
+    # all hit.
     second = build_for("subset", SyntheticSource(overflow_profile()))
-    assert len(restored) == 1
+    build_for("subset", SyntheticSource(overflow_profile(think_scale=0.5)))
+    build_for("subset", SyntheticSource(overflow_profile(seed=12)))
+    assert len(image_walks) == 1
     assert machine_state(first) == machine_state(second)
 
-    # A different profile (other seed) misses and records a new memo.
-    build_for("subset", SyntheticSource(overflow_profile(seed=12)))
-    assert len(restored) == 1
-    assert len(system_module._PREWARM_MEMOS) == 2
+    # Other prewarm lines walk and store a second image.
+    fewer = dataclasses.replace(overflow_profile(), prewarm_fraction=0.5)
+    build_for("subset", SyntheticSource(fewer))
+    assert len(image_walks) == 2
+    assert len(prewarm_module._IMAGES) == 2
 
 
-def test_prewarm_memo_shared_across_file_and_memory(tmp_path, monkeypatch):
-    """A file replay of a saved trace hits... a fresh memo keyed on
-    the file's content hash, and a second replay of the same file
-    (new source object, new scan) hits that memo."""
+def test_prewarm_image_shared_across_file_and_memory(tmp_path, image_walks):
+    """A file replay of a saved trace hits the in-memory trace's image:
+    the key is the prewarm lines' content, not the source's
+    descriptor."""
     from repro.workloads.io import save_trace
     from repro.workloads.source import FileReplaySource
 
-    system_module._PREWARM_MEMOS.clear()
     workload = generate_workload(overflow_profile())
     path = tmp_path / "overflow.jsonl"
     save_trace(workload, path)
 
-    restored = []
-    original = WarmupController._restore_prewarm
-
-    def spy(self, memo):
-        restored.append(memo)
-        return original(self, memo)
-
-    monkeypatch.setattr(WarmupController, "_restore_prewarm", spy)
-
     direct = build_for("subset", workload)
     first = build_for("subset", FileReplaySource(path))
-    assert not restored  # identity key vs content key: distinct memos
     second = build_for("subset", FileReplaySource(path))
-    assert len(restored) == 1
+    assert len(image_walks) == 1
     assert machine_state(first) == machine_state(second)
     assert machine_state(first) == machine_state(direct)
+
+
+@pytest.mark.parametrize("core", ["object", "soa"])
+def test_think_scale_variants_share_one_image(core, image_walks):
+    """The loaded study's shape (two algorithms x ring/hier_ring x three
+    think scales) walks prewarm once per machine size: the think-scale
+    variants of splash2 have equal prewarm lines."""
+    from repro.harness.saturation import run_saturation
+
+    curves = run_saturation(
+        algorithms=("lazy", "criticality"),
+        topologies=("ring", "hier_ring"),
+        workload="splash2",
+        think_scales=(10, 1, 0.3),
+        accesses_per_core=20,
+        jobs=1,
+        cache=None,
+        core=core,
+    )
+    assert sum(len(curve.points) for curve in curves) == 12
+    assert len(image_walks) == 2
