@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.analytical import AnalyticalParams, table1, table3
 from repro.harness.experiments import (
@@ -684,11 +684,26 @@ def _cmd_trace_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace_show(args: argparse.Namespace) -> int:
+def _read_trace_or_report(path: str) -> Optional[Tuple[dict, list]]:
+    """``read_trace(path)``, or ``None`` after printing why the file
+    cannot be read (missing, unreadable, or a malformed line) as one
+    ``flexsnoop:`` line on stderr."""
     from repro.obs.jsonl import read_trace
+
+    try:
+        return read_trace(path)
+    except (ValueError, OSError) as exc:
+        print("flexsnoop: %s" % exc, file=sys.stderr)
+        return None
+
+
+def _cmd_trace_show(args: argparse.Namespace) -> int:
     from repro.obs.render import filter_events, render_timeline
 
-    meta, events = read_trace(args.file)
+    trace = _read_trace_or_report(args.file)
+    if trace is None:
+        return 1
+    meta, events = trace
     address = int(args.address, 0) if args.address else None
     selected = filter_events(
         events, address=address, txn=args.txn, node=args.node
@@ -709,9 +724,11 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
 
 def _cmd_trace_audit(args: argparse.Namespace) -> int:
     from repro.obs.audit import TraceAuditor
-    from repro.obs.jsonl import read_trace
 
-    meta, events = read_trace(args.file)
+    trace = _read_trace_or_report(args.file)
+    if trace is None:
+        return 1
+    meta, events = trace
     num_cmps = args.num_cmps or meta.get("num_cmps") or 8
     # Traces recorded on a non-ring topology persist their successor
     # cycle in the header; an explicit --num-cmps override means the

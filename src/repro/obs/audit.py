@@ -53,7 +53,7 @@ the decision-table data model), so it runs equally on live
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.decision import DecisionTable
 from repro.core.primitives import Primitive
@@ -64,6 +64,20 @@ from repro.ring.topology import ring_successors
 _NO_FALSE_POSITIVE_KINDS = ("subset", "exact", "perfect")
 #: Predictor kinds that may never miss a supplier that is present.
 _NO_FALSE_NEGATIVE_KINDS = ("superset", "exact", "perfect")
+
+# Event types as module globals: the hot loops test them with ``is``,
+# because an EventType-keyed dict hashes the enum in Python.
+_ISSUE = EventType.ISSUE
+_HOP = EventType.HOP
+_PREDICTOR = EventType.PREDICTOR
+_SNOOP = EventType.SNOOP
+_SUPPLY = EventType.SUPPLY
+_SQUASH = EventType.SQUASH
+_RETRY = EventType.RETRY
+_MSHR = EventType.MSHR
+_FILL = EventType.FILL
+_RETIRE = EventType.RETIRE
+_SNOOP_THEN_FORWARD = Primitive.SNOOP_THEN_FORWARD.value
 
 
 @dataclass(frozen=True)
@@ -82,6 +96,17 @@ class Violation:
             self.rule,
             self.message,
         )
+
+
+class _Counts(NamedTuple):
+    """One transaction's event counts the squash discipline reads."""
+
+    snoop: int
+    supply: int
+    fill: int
+    predictor: int
+    squash: int
+    retry: int
 
 
 class TraceAuditor:
@@ -132,20 +157,44 @@ class TraceAuditor:
         else:
             self._allowed_true = ()
             self._allowed_false = ()
+        # ... and the primitive values the read-snoop checks compare
+        # against: the snoop forms allowed after each prediction, and
+        # the whole alphabet (tuples: ``in`` must not hash the value).
+        self._snoop_values = {
+            prediction: tuple(
+                p.value for p in allowed if p is not Primitive.FORWARD
+            )
+            for prediction, allowed in (
+                (True, self._allowed_true),
+                (False, self._allowed_false),
+            )
+        }
+        alphabet = set(self._allowed_true) | set(self._allowed_false)
+        self._alphabet_values = tuple(p.value for p in alphabet)
+        self._alphabet_text = ", ".join(sorted(self._alphabet_values))
 
     def audit(self, events: Iterable[TraceEvent]) -> List[Violation]:
         """All violations in ``events`` (empty list = clean trace)."""
         by_txn: Dict[int, List[TraceEvent]] = {}
-        ordered: List[TraceEvent] = []
+        # Issues and retirements in emission order: all the
+        # serialization sweep reads.
+        lifecycle: List[TraceEvent] = []
         for event in events:
-            if event.txn < 0:
+            txn = event.txn
+            if txn < 0:
                 continue  # machine events (e.g. downgrades): no FSM
-            ordered.append(event)
-            by_txn.setdefault(event.txn, []).append(event)
+            group = by_txn.get(txn)
+            if group is None:
+                by_txn[txn] = [event]
+            else:
+                group.append(event)
+            kind = event.type
+            if kind is _ISSUE or kind is _RETIRE:
+                lifecycle.append(event)
         violations: List[Violation] = []
         for txn_id in sorted(by_txn):
             violations.extend(self._audit_txn(txn_id, by_txn[txn_id]))
-        violations.extend(self._check_serialization(ordered))
+        violations.extend(self._check_serialization(lifecycle))
         return violations
 
     # ------------------------------------------------------------------
@@ -159,25 +208,80 @@ class TraceAuditor:
         def flag(rule: str, time: int, message: str) -> None:
             out.append(Violation(txn_id, rule, time, message))
 
-        issue = self._check_lifecycle(txn_id, events, flag)
+        # One pass buckets the events by type (emission order kept
+        # within each bucket); the count-based rules read the buckets,
+        # and the order-based ones walk ``events`` only when the
+        # transaction has the events they look for.
+        issues: List[TraceEvent] = []
+        retires: List[TraceEvent] = []
+        hops: List[TraceEvent] = []
+        predictors: List[TraceEvent] = []
+        snoops: List[TraceEvent] = []
+        supplies: List[TraceEvent] = []
+        mshrs: List[TraceEvent] = []
+        fills = squashes = retries = 0
+        for event in events:
+            kind = event.type
+            if kind is _HOP:
+                hops.append(event)
+            elif kind is _PREDICTOR:
+                predictors.append(event)
+            elif kind is _SNOOP:
+                snoops.append(event)
+            elif kind is _ISSUE:
+                issues.append(event)
+            elif kind is _RETIRE:
+                retires.append(event)
+            elif kind is _FILL:
+                fills += 1
+            elif kind is _SUPPLY:
+                supplies.append(event)
+            elif kind is _MSHR:
+                mshrs.append(event)
+            elif kind is _SQUASH:
+                squashes += 1
+            elif kind is _RETRY:
+                retries += 1
+
+        issue = self._check_lifecycle(events, issues, retires, flag)
         if issue is None:
             return out
         squashed = bool(issue.data.get("squashed", False))
-        hops = [e for e in events if e.type is EventType.HOP]
         self._check_hops(issue, hops, flag)
-        self._check_recombination(events, flag)
-        self._check_supply(events, flag)
-        self._check_predictions(events, flag)
-        self._check_policy(events, flag)
-        self._check_squash_discipline(squashed, events, flag)
-        self._check_mshr_fairness(events, flag)
+        if any(
+            snoop.data.get("primitive") == _SNOOP_THEN_FORWARD
+            for snoop in snoops
+        ):
+            self._check_recombination(events, flag)
+        if supplies:
+            self._check_supply(events, supplies, flag)
+        self._check_predictions(predictors, flag)
+        self._check_policy(events, predictors, snoops, flag)
+        last = events[-1]
+        self._check_squash_discipline(
+            squashed,
+            last,
+            _Counts(
+                len(snoops),
+                len(supplies),
+                fills,
+                len(predictors),
+                squashes,
+                retries,
+            ),
+            flag,
+        )
+        if mshrs:
+            self._check_mshr_fairness(mshrs, last.time, flag)
         return out
 
     def _check_lifecycle(
-        self, txn_id: int, events: List[TraceEvent], flag
+        self,
+        events: List[TraceEvent],
+        issues: List[TraceEvent],
+        retires: List[TraceEvent],
+        flag,
     ) -> Optional[TraceEvent]:
-        issues = [e for e in events if e.type is EventType.ISSUE]
-        retires = [e for e in events if e.type is EventType.RETIRE]
         first = events[0]
         if len(issues) != 1:
             flag(
@@ -206,10 +310,10 @@ class TraceAuditor:
             # Retirement itself releases the MSHR waiters (phase
             # "reissue"), and a squashed transaction's retry follows
             # its retirement; anything else is a zombie event.
-            if event.type is EventType.RETRY:
+            if event.type is _RETRY:
                 continue
             if (
-                event.type is EventType.MSHR
+                event.type is _MSHR
                 and event.data.get("phase") == "reissue"
             ):
                 continue
@@ -239,6 +343,7 @@ class TraceAuditor:
                 % (len(hops), n),
             )
             return
+        succ = self._succ
         expected_from = issue.node
         for hop in hops:
             if hop.node != expected_from:
@@ -250,13 +355,13 @@ class TraceAuditor:
                 )
                 return
             to = int(hop.data["to"])
-            if to != self._succ[hop.node]:
+            if to != succ[hop.node]:
                 flag(
                     "conservation",
                     hop.time,
                     "hop %d -> %d is not one snoop segment "
                     "(successor of %d is %d)"
-                    % (hop.node, to, hop.node, self._succ[hop.node]),
+                    % (hop.node, to, hop.node, succ[hop.node]),
                 )
                 return
             if hop.time < issue.time:
@@ -279,11 +384,11 @@ class TraceAuditor:
         awaiting: Optional[TraceEvent] = None
         for event in events:
             if (
-                event.type is EventType.SNOOP
-                and event.data.get("primitive") == "snoop_then_forward"
+                event.type is _SNOOP
+                and event.data.get("primitive") == _SNOOP_THEN_FORWARD
             ):
                 awaiting = event
-            elif event.type is EventType.HOP and awaiting is not None:
+            elif event.type is _HOP and awaiting is not None:
                 if event.data.get("mode") != "combined":
                     flag(
                         "recombination",
@@ -295,8 +400,9 @@ class TraceAuditor:
                     )
                 awaiting = None
 
-    def _check_supply(self, events: List[TraceEvent], flag) -> None:
-        supplies = [e for e in events if e.type is EventType.SUPPLY]
+    def _check_supply(
+        self, events: List[TraceEvent], supplies: List[TraceEvent], flag
+    ) -> None:
         if len(supplies) > 1:
             flag(
                 "supply",
@@ -305,14 +411,12 @@ class TraceAuditor:
                 "invariant)" % len(supplies),
             )
             return
-        if not supplies:
-            return
         supply = supplies[0]
         if supply.data.get("form") != "combined":
             return  # reply-only supply: downstream snoops continue
         index = events.index(supply)
         for event in events[index + 1:]:
-            if event.type in (EventType.SNOOP, EventType.PREDICTOR):
+            if event.type is _SNOOP or event.type is _PREDICTOR:
                 flag(
                     "supply",
                     event.time,
@@ -321,13 +425,15 @@ class TraceAuditor:
                     % event.type.value,
                 )
 
-    def _check_predictions(self, events: List[TraceEvent], flag) -> None:
-        for event in events:
-            if event.type is not EventType.PREDICTOR:
-                continue
-            kind = event.data.get("kind")
+    def _check_predictions(
+        self, predictors: List[TraceEvent], flag
+    ) -> None:
+        for event in predictors:
             prediction = bool(event.data.get("prediction"))
             truth = bool(event.data.get("truth"))
+            if prediction is truth:
+                continue
+            kind = event.data.get("kind")
             if (
                 prediction
                 and not truth
@@ -351,72 +457,33 @@ class TraceAuditor:
                     % (kind, event.node),
                 )
 
-    def _check_policy(self, events: List[TraceEvent], flag) -> None:
+    def _check_policy(
+        self,
+        events: List[TraceEvent],
+        predictors: List[TraceEvent],
+        snoops: List[TraceEvent],
+        flag,
+    ) -> None:
         """Policy-guarantee checks driven by the decision table (the
         generalization of the predictor-guarantee rules): every snoop
         decision the trace records must be one the table can emit."""
-        table = self._table
-        if table is not None:
-            # Pair each predictor lookup with the decision that
-            # follows it at the same node: the next SNOOP (the node
-            # snooped) or the next HOP (the node forwarded).  Other
-            # event types - MSHR joins, supplies landing from earlier
-            # nodes - may interleave and are skipped.
-            pending: Optional[TraceEvent] = None
-            for event in events:
-                if event.type is EventType.PREDICTOR:
-                    pending = event
-                    continue
-                if pending is None:
-                    continue
-                if event.type is EventType.SNOOP:
-                    if event.data.get("kind") == "read":
-                        self._check_read_decision(pending, event, flag)
-                    pending = None
-                elif event.type is EventType.HOP:
-                    prediction = bool(pending.data.get("prediction"))
-                    allowed = (
-                        self._allowed_true
-                        if prediction
-                        else self._allowed_false
-                    )
-                    if Primitive.FORWARD not in allowed:
-                        flag(
-                            "policy",
-                            event.time,
-                            "node %d forwarded without snooping on a "
-                            "%s prediction, but the policy mandates a "
-                            "snoop (%s)"
-                            % (
-                                pending.node,
-                                "positive" if prediction else "negative",
-                                "/".join(p.value for p in allowed),
-                            ),
-                        )
-                    pending = None
+        if self._table is not None:
+            if predictors:
+                self._check_decisions(events, flag)
             # Predictor-less policies (prediction implicitly True):
             # every read snoop must still use a primitive from the
             # table's positive-prediction alphabet.
-            alphabet = set(self._allowed_true) | set(self._allowed_false)
-            for event in events:
-                if (
-                    event.type is EventType.SNOOP
-                    and event.data.get("kind") == "read"
-                ):
+            alphabet = self._alphabet_values
+            for event in snoops:
+                if event.data.get("kind") == "read":
                     primitive = event.data.get("primitive")
-                    if primitive not in tuple(p.value for p in alphabet):
+                    if primitive not in alphabet:
                         flag(
                             "policy",
                             event.time,
                             "read snoop used %r at node %d, outside the "
                             "policy alphabet {%s}"
-                            % (
-                                primitive,
-                                event.node,
-                                ", ".join(
-                                    sorted(p.value for p in alphabet)
-                                ),
-                            ),
+                            % (primitive, event.node, self._alphabet_text),
                         )
         if self._decouple_writes is not None:
             expected = (
@@ -424,10 +491,9 @@ class TraceAuditor:
                 if self._decouple_writes
                 else Primitive.SNOOP_THEN_FORWARD.value
             )
-            for event in events:
+            for event in snoops:
                 if (
-                    event.type is EventType.SNOOP
-                    and event.data.get("kind") == "write"
+                    event.data.get("kind") == "write"
                     and event.data.get("primitive") != expected
                 ):
                     flag(
@@ -445,14 +511,49 @@ class TraceAuditor:
                         ),
                     )
 
+    def _check_decisions(self, events: List[TraceEvent], flag) -> None:
+        """Pair each predictor lookup with the decision that follows
+        it at the same node: the next SNOOP (the node snooped) or the
+        next HOP (the node forwarded).  Other event types - MSHR joins,
+        supplies landing from earlier nodes - may interleave and are
+        skipped."""
+        pending: Optional[TraceEvent] = None
+        for event in events:
+            kind = event.type
+            if kind is _PREDICTOR:
+                pending = event
+                continue
+            if pending is None:
+                continue
+            if kind is _SNOOP:
+                if event.data.get("kind") == "read":
+                    self._check_read_decision(pending, event, flag)
+                pending = None
+            elif kind is _HOP:
+                prediction = bool(pending.data.get("prediction"))
+                allowed = (
+                    self._allowed_true if prediction else self._allowed_false
+                )
+                if Primitive.FORWARD not in allowed:
+                    flag(
+                        "policy",
+                        event.time,
+                        "node %d forwarded without snooping on a "
+                        "%s prediction, but the policy mandates a "
+                        "snoop (%s)"
+                        % (
+                            pending.node,
+                            "positive" if prediction else "negative",
+                            "/".join(p.value for p in allowed),
+                        ),
+                    )
+                pending = None
+
     def _check_read_decision(
         self, lookup: TraceEvent, snoop: TraceEvent, flag
     ) -> None:
         prediction = bool(lookup.data.get("prediction"))
-        allowed = self._allowed_true if prediction else self._allowed_false
-        allowed_values = tuple(
-            p.value for p in allowed if p is not Primitive.FORWARD
-        )
+        allowed_values = self._snoop_values[prediction]
         primitive = snoop.data.get("primitive")
         if not allowed_values:
             flag(
@@ -476,15 +577,16 @@ class TraceAuditor:
                 ),
             )
 
-    def _check_mshr_fairness(self, events: List[TraceEvent], flag) -> None:
+    def _check_mshr_fairness(
+        self, mshrs: List[TraceEvent], anchor: int, flag
+    ) -> None:
         """Waiters queued behind this transaction must be released at
         retirement in exactly their wait order (the ROADMAP's
-        MSHR-waiter fairness rider)."""
+        MSHR-waiter fairness rider).  ``anchor``: the time of the
+        transaction's last event."""
         waits: List[Tuple[int, int]] = []
         reissues: List[Tuple[int, int]] = []
-        for event in events:
-            if event.type is not EventType.MSHR:
-                continue
+        for event in mshrs:
             phase = event.data.get("phase")
             record = (
                 int(event.data.get("core", -1)),
@@ -502,7 +604,6 @@ class TraceAuditor:
                 )
         if not waits and not reissues:
             return
-        anchor = events[-1].time
         if [w[0] for w in waits] != [r[0] for r in reissues]:
             flag(
                 "mshr",
@@ -537,7 +638,7 @@ class TraceAuditor:
         # address -> {txn_id: (is_write, squashed)} for in-flight txns
         active: Dict[int, Dict[int, Tuple[bool, bool]]] = {}
         for event in events:
-            if event.type is EventType.ISSUE:
+            if event.type is _ISSUE:
                 address = event.address
                 is_write = event.data.get("kind") == "write"
                 squashed = bool(event.data.get("squashed", False))
@@ -573,7 +674,7 @@ class TraceAuditor:
                         )
                     )
                 inflight[event.txn] = (is_write, squashed)
-            elif event.type is EventType.RETIRE:
+            elif event.type is _RETIRE:
                 inflight = active.get(event.address)
                 if inflight is not None:
                     inflight.pop(event.txn, None)
@@ -582,66 +683,55 @@ class TraceAuditor:
         return out
 
     def _check_squash_discipline(
-        self, squashed: bool, events: List[TraceEvent], flag
+        self, squashed: bool, last: TraceEvent, counts: _Counts, flag
     ) -> None:
-        counts = {
-            kind: sum(1 for e in events if e.type is kind)
-            for kind in (
-                EventType.SNOOP,
-                EventType.SUPPLY,
-                EventType.FILL,
-                EventType.PREDICTOR,
-                EventType.SQUASH,
-                EventType.RETRY,
-            )
-        }
-        last = events[-1]
         if squashed:
-            for kind in (
-                EventType.SNOOP,
-                EventType.SUPPLY,
-                EventType.FILL,
-                EventType.PREDICTOR,
+            for kind, count in (
+                (_SNOOP, counts.snoop),
+                (_SUPPLY, counts.supply),
+                (_FILL, counts.fill),
+                (_PREDICTOR, counts.predictor),
             ):
-                if counts[kind]:
+                if count:
                     flag(
                         "squash",
                         last.time,
                         "squashed message performed %d %s event(s) "
                         "(serialization-only circuit)"
-                        % (counts[kind], kind.value),
+                        % (count, kind.value),
                     )
-            if counts[EventType.SQUASH] != 1:
+            if counts.squash != 1:
                 flag(
                     "squash",
                     last.time,
                     "squashed transaction emitted %d squash markers, "
-                    "expected 1" % counts[EventType.SQUASH],
+                    "expected 1" % counts.squash,
                 )
-            if counts[EventType.RETRY] != 1:
+            if counts.retry != 1:
                 flag(
                     "squash",
                     last.time,
                     "squashed transaction retried %d times, expected 1"
-                    % counts[EventType.RETRY],
+                    % counts.retry,
                 )
         else:
-            if counts[EventType.SQUASH]:
+            if counts.squash:
                 flag(
                     "squash",
                     last.time,
                     "non-squashed transaction emitted a squash marker",
                 )
-            if counts[EventType.RETRY]:
+            if counts.retry:
                 flag(
                     "squash",
                     last.time,
                     "non-squashed transaction retried",
                 )
-            if counts[EventType.FILL] != 1:
+            if counts.fill != 1:
                 flag(
                     "fill",
                     last.time,
                     "transaction filled the requester cache %d times, "
-                    "expected exactly 1" % counts[EventType.FILL],
+                    "expected exactly 1" % counts.fill,
                 )
+

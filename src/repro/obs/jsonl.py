@@ -11,14 +11,55 @@ File layout (one JSON object per line)::
 The meta header is optional when writing raw event lists but the
 auditor needs ``num_cmps`` from it, so :func:`write_trace` always
 emits one.  Unknown keys in the header are preserved round-trip.
+
+Byte-identity contract: every event line is exactly
+``json.dumps(event_to_json(event), sort_keys=True)``.
+:func:`encode_event` produces those bytes without building the dict
+or a new encoder per event; :func:`read_trace` parses each line once
+and rejects every line that is not one event object (or the meta
+header) with a ``ValueError`` naming the line.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from repro.obs.trace import EventType, TraceEvent
+
+#: Event lines the writer joins into one ``write`` call.
+WRITE_CHUNK = 1024
+
+#: An event line with its ``data`` object and ``ev`` string spliced in:
+#: the top-level keys in ``sort_keys`` order, json's default separators.
+_EVENT_LINE = '{"addr": %d, "data": %s, "ev": %s, "node": %d, "t": %d, "txn": %d}'
+
+if c_make_encoder is not None:
+    # The C encoder json.dumps(..., sort_keys=True) builds on every
+    # call, built once.  Without circular-reference markers: a payload
+    # it cannot encode (a cycle included) raises, and encode_event then
+    # lets json.dumps raise its own error.
+    _data_encoder = c_make_encoder(
+        None,
+        JSONEncoder().default,
+        encode_basestring_ascii,
+        None,
+        ": ",
+        ", ",
+        True,
+        False,
+        True,
+    )
+else:  # an interpreter without the _json accelerator
+
+    def _data_encoder(data: Dict[Any, Any], _level: int) -> Tuple[str]:
+        return (json.dumps(data, sort_keys=True),)
+
+
+#: ``ev`` string -> member: a dict lookup instead of ``EventType(...)``.
+_EVENT_TYPES = {member.value: member for member in EventType}
+_new_tuple = tuple.__new__
 
 
 def event_to_json(event: TraceEvent) -> Dict[str, Any]:
@@ -33,16 +74,70 @@ def event_to_json(event: TraceEvent) -> Dict[str, Any]:
     }
 
 
+def encode_event(event: TraceEvent) -> str:
+    """One event line, byte-identical to
+    ``json.dumps(event_to_json(event), sort_keys=True)``.
+
+    The common case - a :class:`TraceEvent` with int
+    ``t``/``txn``/``node``/``addr``, an :class:`EventType` and a
+    ``dict`` payload - is formatted directly; anything else, or a
+    payload json cannot encode, goes through ``json.dumps`` itself.
+    """
+    if type(event) is not TraceEvent:
+        return json.dumps(event_to_json(event), sort_keys=True)
+    time, kind, txn, node, address, data = event
+    if (
+        type(time) is int
+        and type(txn) is int
+        and type(node) is int
+        and type(address) is int
+        and type(kind) is EventType
+        and type(data) is dict
+    ):
+        try:
+            encoded = "".join(_data_encoder(data, 0))
+        except (TypeError, ValueError, RecursionError):
+            pass
+        else:
+            return _EVENT_LINE % (
+                address,
+                encoded,
+                encode_basestring_ascii(kind._value_),
+                node,
+                time,
+                txn,
+            )
+    return json.dumps(event_to_json(event), sort_keys=True)
+
+
 def event_from_json(payload: Mapping[str, Any]) -> TraceEvent:
-    """Inverse of :func:`event_to_json`."""
-    return TraceEvent(
-        time=int(payload["t"]),
-        type=EventType(payload["ev"]),
-        txn=int(payload["txn"]),
-        node=int(payload["node"]),
-        address=int(payload["addr"]),
-        data=dict(payload.get("data", {})),
-    )
+    """Inverse of :func:`event_to_json`.
+
+    The event keeps ``payload``'s ``data`` dict itself, not a copy.
+    Raises ``KeyError``, ``TypeError`` or ``ValueError`` for a payload
+    that is not one event: a missing or non-integer field, an unknown
+    ``ev``, a ``data`` that is not an object.
+    """
+    time = int(payload["t"])
+    name = payload["ev"]
+    kind = _EVENT_TYPES.get(name) if type(name) is str else None
+    if kind is None:
+        kind = EventType(name)  # raises the enum's own error
+    txn = int(payload["txn"])
+    node = int(payload["node"])
+    address = int(payload["addr"])
+    data = payload.get("data")
+    if not isinstance(data, dict):
+        if "data" in payload:
+            raise ValueError("data is not an object: %r" % (data,))
+        data = {}
+    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    return _new_tuple(TraceEvent, (time, kind, txn, node, address, data))
+
+
+def encode_meta(meta: Mapping[str, Any]) -> str:
+    """The meta header line (without its newline)."""
+    return json.dumps({"meta": dict(meta)}, sort_keys=True)
 
 
 def write_trace(
@@ -52,42 +147,69 @@ def write_trace(
 ) -> int:
     """Write a meta header plus every event; returns the event count."""
     count = 0
+    chunk: List[str] = []
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps({"meta": dict(meta)}, sort_keys=True) + "\n")
+        handle.write(encode_meta(meta) + "\n")
         for event in events:
-            handle.write(
-                json.dumps(event_to_json(event), sort_keys=True) + "\n"
-            )
-            count += 1
+            chunk.append(encode_event(event))
+            if len(chunk) == WRITE_CHUNK:
+                handle.write("\n".join(chunk) + "\n")
+                count += len(chunk)
+                chunk.clear()
+        if chunk:
+            handle.write("\n".join(chunk) + "\n")
+            count += len(chunk)
     return count
 
 
 def read_trace(path: str) -> Tuple[Dict[str, Any], List[TraceEvent]]:
     """Read a trace file back as ``(meta, events)``.
 
-    Raises ``ValueError`` on malformed lines (with the line number),
-    so a truncated or hand-edited file fails loudly rather than
-    auditing a partial trace silently.
+    Raises ``ValueError`` naming the line for every line that is not
+    blank, the meta header or one event object - malformed JSON, a
+    non-object, an unknown event type, a missing or non-integer field,
+    a non-object ``data`` - so a truncated or hand-edited file fails
+    loudly rather than auditing a partial trace silently.
     """
     meta: Dict[str, Any] = {}
     events: List[TraceEvent] = []
+    append = events.append
+    raw_decode = json.JSONDecoder().raw_decode
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+                payload, end = raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                # Not exactly one JSON value: json.loads raises its
+                # own error for the line ("Extra data", a BOM, ...).
+                try:
+                    json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        "%s:%d: malformed JSON: %s" % (path, lineno, exc)
+                    ) from exc
+            if type(payload) is not dict:
                 raise ValueError(
-                    "%s:%d: malformed JSON: %s" % (path, lineno, exc)
-                ) from exc
+                    "%s:%d: malformed event: not a JSON object: %.40s"
+                    % (path, lineno, line)
+                )
             if "meta" in payload and "ev" not in payload:
-                meta.update(payload["meta"])
+                try:
+                    meta.update(payload["meta"])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(
+                        "%s:%d: malformed meta header: %s"
+                        % (path, lineno, exc)
+                    ) from exc
                 continue
             try:
-                events.append(event_from_json(payload))
-            except (KeyError, ValueError) as exc:
+                append(event_from_json(payload))
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     "%s:%d: malformed event: %s" % (path, lineno, exc)
                 ) from exc

@@ -32,7 +32,6 @@ guard, which the bench gate bounds at <=3%.
 from __future__ import annotations
 
 import enum
-import json
 from typing import IO, Any, List, Mapping, NamedTuple, Optional
 
 
@@ -142,21 +141,20 @@ class JsonlStreamSink(TraceSink):
         path: str,
         meta: Optional[Mapping[str, Any]] = None,
     ) -> None:
+        from repro.obs.jsonl import encode_event, encode_meta
+
         self.path = path
         self.events_emitted = 0
+        self._encode = encode_event
         self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
         if meta is not None:
-            self._handle.write(
-                json.dumps({"meta": dict(meta)}, sort_keys=True) + "\n"
-            )
+            self._handle.write(encode_meta(meta) + "\n")
 
     def emit(self, event: TraceEvent) -> None:
-        from repro.obs.jsonl import event_to_json
-
         handle = self._handle
         if handle is None:
             raise ValueError("sink is closed")
-        handle.write(json.dumps(event_to_json(event), sort_keys=True) + "\n")
+        handle.write(self._encode(event) + "\n")
         self.events_emitted += 1
 
     def close(self) -> None:

@@ -103,6 +103,25 @@ def test_cli_trace_audit_flags_corrupted_trace(tmp_path, capsys):
     assert "violation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["audit", "show"])
+@pytest.mark.parametrize(
+    "content", [None, '{"meta": {}}\n[1, 2]\n'], ids=["missing", "malformed"]
+)
+def test_cli_trace_unreadable_file_is_one_line(
+    tmp_path, capsys, command, content
+):
+    path = tmp_path / "run.jsonl"
+    if content is not None:
+        path.write_text(content)
+    assert main(["trace", command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("flexsnoop: ")
+    if content is not None:
+        assert "run.jsonl:2: malformed event" in captured.err
+
+
 def test_cli_report_to_file(tmp_path, capsys):
     out_file = tmp_path / "report.md"
     code = main(

@@ -146,6 +146,23 @@ def test_read_trace_reports_malformed_event(tmp_path):
         read_trace(str(path))
 
 
+@pytest.mark.parametrize("line", ["5", "[1, 2]"])
+def test_read_trace_rejects_non_object_line(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"meta": {}}\n' + line + "\n")
+    with pytest.raises(ValueError, match=r":2: malformed event"):
+        read_trace(str(path))
+
+
+@pytest.mark.parametrize("data", ["7", "null"])
+def test_read_trace_rejects_non_object_data(tmp_path, data):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"meta": {}}\n{"t": 0, "ev": "issue", "txn": 1, '
+                    '"node": 0, "addr": 0, "data": %s}\n' % data)
+    with pytest.raises(ValueError, match=r":2: malformed event"):
+        read_trace(str(path))
+
+
 # ----------------------------------------------------------------------
 # Filtering and rendering
 
