@@ -9,10 +9,16 @@ most recent completed write (see ``MachineConfig.track_versions``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.config import CacheConfig
 from repro.coherence.states import LineState
+
+_I = LineState.I
+
+#: Pending content of one set: addresses in LRU order, and their state
+#: codes (``None`` when every line has the default state).
+PendingSet = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]
 
 
 class CacheLine:
@@ -69,6 +75,39 @@ class EvictionRecord:
         )
 
 
+class _Sets(dict):  # type: ignore[type-arg]
+    """Set index -> the set's lines in LRU order, built on first access.
+
+    A set starts from its pending content (see
+    :meth:`SetAssociativeCache.install`), or empty.  ``get`` and ``in``
+    do not build a set; indexing does.
+    """
+
+    __slots__ = ("pending", "states", "default")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pending: Dict[int, PendingSet] = {}
+        self.states: Mapping[int, LineState] = {}
+        self.default = _I
+
+    def __missing__(self, index: int) -> "OrderedDict[int, CacheLine]":
+        cache_set: "OrderedDict[int, CacheLine]" = OrderedDict()
+        data = self.pending.get(index)
+        if data is not None:
+            addresses, codes = data
+            if codes is None:
+                state = self.default
+                for address in addresses:
+                    cache_set[address] = CacheLine(address, state, 0)
+            else:
+                states = self.states
+                for address, code in zip(addresses, codes):
+                    cache_set[address] = CacheLine(address, states[code], 0)
+        self[index] = cache_set
+        return cache_set
+
+
 class SetAssociativeCache:
     """An LRU set-associative cache keyed by line address.
 
@@ -77,6 +116,11 @@ class SetAssociativeCache:
     predictors subscribe to it to stay synchronized with the cache
     (Section 4.3.1: "when any of these lines is evicted or invalidated,
     the hardware removes the address from the Supplier Predictor").
+
+    Sets are built on first touch: prewarmed content waits as per-set
+    tuples (:meth:`install`), and read-only probes (``state_of``,
+    ``in``, ``len``, ``lru_order``, ``occupancy_of_set``) answer from
+    them without building lines.
     """
 
     def __init__(
@@ -93,9 +137,7 @@ class SetAssociativeCache:
         # of descriptor lookups.
         self._num_sets = config.num_sets
         self._associativity = config.associativity
-        self._sets: List["OrderedDict[int, CacheLine]"] = [
-            OrderedDict() for _ in range(self._num_sets)
-        ]
+        self._sets = _Sets()
         self._on_state_loss = on_state_loss
         self._on_state_gain = on_state_gain
         self._on_line_added = on_line_added
@@ -119,20 +161,59 @@ class SetAssociativeCache:
         return line
 
     def state_of(self, address: int) -> LineState:
-        """Return the line's state, ``I`` if not resident (no LRU touch)."""
-        line = self.lookup(address, touch=False)
-        return line.state if line is not None else LineState.I
+        """Return the line's state, ``I`` if not resident (no LRU touch,
+        and no set is built)."""
+        index = address % self._num_sets
+        sets = self._sets
+        cache_set = sets.get(index)
+        if cache_set is not None:
+            line = cache_set.get(address)
+            return _I if line is None else line.state
+        data = sets.pending.get(index)
+        if data is None:
+            return _I
+        addresses, codes = data
+        if address not in addresses:
+            return _I
+        if codes is None:
+            return sets.default
+        return sets.states[codes[addresses.index(address)]]
 
     def __contains__(self, address: int) -> bool:
-        return self.lookup(address, touch=False) is not None
+        return self.state_of(address) is not _I
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        sets = self._sets
+        return sum(len(s) for s in sets.values()) + sum(
+            len(addresses)
+            for index, (addresses, _) in sets.pending.items()
+            if index not in sets
+        )
 
     def iter_lines(self) -> Iterator[CacheLine]:
-        """Iterate over all resident lines (test/diagnostic use)."""
-        for cache_set in self._sets:
-            yield from cache_set.values()
+        """Iterate over all resident lines, set by set (test/diagnostic
+        use; builds the sets it visits)."""
+        sets = self._sets
+        for index in range(self._num_sets):
+            if index in sets or index in sets.pending:
+                yield from sets[index].values()
+
+    def install(
+        self,
+        pending: Dict[int, PendingSet],
+        states: Mapping[int, LineState],
+        default: LineState,
+    ) -> None:
+        """Adopt prewarmed content into an untouched cache without
+        building it: per set index, addresses in LRU order and their
+        state codes, keys of ``states`` (``None``: every line is in
+        ``default``).  Lines are clean, at version 0.  ``pending``
+        is shared, never modified.  No callback fires and no counter
+        moves; the installer accounts for both."""
+        sets = self._sets
+        sets.pending = pending
+        sets.states = states
+        sets.default = default
 
     # ------------------------------------------------------------------
     # Mutation
@@ -228,8 +309,13 @@ class SetAssociativeCache:
     # Diagnostics
 
     def occupancy_of_set(self, set_index: int) -> int:
-        return len(self._sets[set_index])
+        return len(self.lru_order(set_index))
 
     def lru_order(self, set_index: int) -> List[int]:
         """Addresses of one set from least- to most-recently used."""
-        return list(self._sets[set_index].keys())
+        sets = self._sets
+        cache_set = sets.get(set_index)
+        if cache_set is not None:
+            return list(cache_set)
+        data = sets.pending.get(set_index)
+        return [] if data is None else list(data[0])

@@ -24,7 +24,10 @@ line enters a supplier state in the CMP, ``remove`` when it leaves
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.config import PredictorConfig
 
@@ -67,6 +70,24 @@ class SupplierPredictor:
     def observe_false_positive(self, address: int) -> None:
         """Feedback: a snoop triggered by a positive prediction found
         no supplier.  Used by the Exclude cache; default no-op."""
+
+    def prewarm_train(self, ops: Sequence[int]) -> None:
+        """Train on the CMP's prewarm stream, in walk order: ``address``
+        is ``insert(address)`` and ``~address`` is ``remove(address)``.
+
+        The stream comes from the prewarm walk (``repro.sim.prewarm``),
+        so it removes only lines it inserted earlier and has not removed
+        since.  This per-op replay serves any predictor; the builtin
+        ones override it with a bulk form that leaves exactly the state
+        the replay leaves.
+        """
+        insert = self.insert
+        remove = self.remove
+        for op in ops:
+            if op >= 0:
+                insert(op)
+            else:
+                remove(~op)
 
     def prewarm_snapshot(self) -> Optional[object]:
         """Capture the predictor's complete state for later restore.
@@ -169,6 +190,38 @@ class _AddressCache:
             return True
         return False
 
+    def replay(self, ops: Sequence[int], victims: List[int]) -> int:
+        """Apply a prewarm stream (``address`` inserts, ``~address``
+        removes) in order, exactly as ``insert``/``remove`` would.
+
+        Appends each conflict victim to ``victims`` and returns the
+        number of removes that found their address absent.
+        """
+        sets = self._sets
+        num_sets = self.num_sets
+        associativity = self.associativity
+        evict = victims.append
+        missed = 0
+        for op in ops:
+            if op >= 0:
+                cache_set = sets[op % num_sets]
+                if op in cache_set:
+                    if cache_set[-1] != op:
+                        cache_set.remove(op)
+                        cache_set.append(op)
+                    continue
+                if len(cache_set) >= associativity:
+                    evict(cache_set.pop(0))
+                cache_set.append(op)
+            else:
+                address = ~op
+                cache_set = sets[address % num_sets]
+                if address in cache_set:
+                    cache_set.remove(address)
+                else:
+                    missed += 1
+        return missed
+
     def snapshot(self) -> List[List[int]]:
         """Copy of every set, preserving LRU order."""
         return [list(s) for s in self._sets]
@@ -212,6 +265,13 @@ class SubsetPredictor(SupplierPredictor):
         self.updates += 1
         self._table.remove(address)
 
+    def prewarm_train(self, ops: Sequence[int]) -> None:
+        # Every insert and every remove counts one update.
+        drops: List[int] = []
+        self._table.replay(ops, drops)
+        self.updates += len(ops)
+        self.conflict_drops += len(drops)
+
     def prewarm_snapshot(self) -> Optional[object]:
         return (
             self.lookups,
@@ -253,7 +313,9 @@ class ExactPredictor(SupplierPredictor):
         self.downgrades = 0
         self._downgrade_callback = downgrade_callback
 
-    def set_downgrade_callback(self, callback: Callable[[int], None]) -> None:
+    def set_downgrade_callback(
+        self, callback: Optional[Callable[[int], None]]
+    ) -> None:
         self._downgrade_callback = callback
 
     def lookup(self, address: int) -> bool:
@@ -273,6 +335,32 @@ class ExactPredictor(SupplierPredictor):
     def remove(self, address: int) -> None:
         self.updates += 1
         self._table.remove(address)
+
+    def prewarm_train(
+        self, ops: Sequence[int], downgraded: Optional[List[int]] = None
+    ) -> None:
+        """Train on a predictor-free prewarm walk's stream, applying the
+        feedback that walk left out.
+
+        Each conflict victim is downgraded: it counts one downgrade and
+        the handler's extra ``remove`` update, and is appended to
+        ``downgraded``.  A downgrade leaves the line resident in SL, no
+        supplier, so the walk's later eviction of a line the table no
+        longer tracks books no remove.  A stream with no such eviction
+        trains the predictor exactly as ``insert``/``remove`` calls
+        with the downgrade callback would.
+        """
+        victims: List[int] = [] if downgraded is None else downgraded
+        before = len(victims)
+        missed = self._table.replay(ops, victims)
+        count = len(victims) - before
+        self.downgrades += count
+        self.updates += len(ops) - missed + count
+
+    def tracked(self) -> Set[int]:
+        """The addresses the table tracks (no LRU touch): after
+        prewarm, exactly the CMP's lines in a supplier state."""
+        return set(chain.from_iterable(self._table._sets))
 
     def prewarm_snapshot(self) -> Optional[object]:
         return (
@@ -373,6 +461,22 @@ class CountingBloomFilter:
             if count == 1:
                 nonzero[i] &= ~(1 << index)
 
+    def add_many(self, addresses: "np.ndarray") -> None:
+        """``add`` every address of an int64 array (repeats count
+        again).  Counters are sums, so the order does not matter."""
+        tables = self._tables
+        for i, ((shift, mask), bits) in enumerate(
+            zip(self._fields, self.field_bits)
+        ):
+            counts = np.bincount(
+                (addresses >> shift) & mask, minlength=1 << bits
+            ) + np.asarray(tables[i], dtype=np.int64)
+            tables[i] = counts.tolist()
+            self._nonzero[i] = int.from_bytes(
+                np.packbits(counts > 0, bitorder="little").tobytes(),
+                "little",
+            )
+
     def query(self, address: int) -> bool:
         """True when the address *may* be present (no false negatives
         for addresses added and not discarded)."""
@@ -463,6 +567,31 @@ class SupersetPredictor(SupplierPredictor):
             self.exclude.insert(address)
             self.exclude_inserts += 1
             self.updates += 1
+
+    def prewarm_train(self, ops: Sequence[int]) -> None:
+        # Order-free: a prewarm stream removes only present lines, so
+        # every op counts one update, what stays present is the
+        # inserted lines minus the removed ones, and the Bloom counters
+        # count the present lines per field.
+        if not ops:
+            return
+        stream = np.fromiter(ops, dtype=np.int64, count=len(ops))
+        lines, counts = np.unique(stream[stream >= 0], return_counts=True)
+        gone, gone_counts = np.unique(~stream[stream < 0], return_counts=True)
+        counts[np.searchsorted(lines, gone)] -= gone_counts
+        kept = counts > 0
+        lines = lines[kept]
+        counts = counts[kept]
+        self.updates += len(ops)
+        self.filter.add_many(np.repeat(lines, counts))
+        present = self._present
+        for address, count in zip(lines.tolist(), counts.tolist()):
+            present[address] = present.get(address, 0) + count
+        # Inserting a line drops it from the Exclude cache (empty
+        # before the run, so prewarm normally leaves it untouched).
+        if self.exclude is not None and len(self.exclude):
+            for address in set(stream[stream >= 0].tolist()):
+                self.exclude.remove(address)
 
     def prewarm_snapshot(self) -> Optional[object]:
         return (

@@ -106,6 +106,15 @@ class EnergyModel:
         """Cache access that downgrades a line (Section 4.3.3)."""
         self.breakdown.downgrade_ops += self.config.downgrade_cache_access
 
+    def charge_downgrades(self, count: int) -> None:
+        """``count`` calls of :meth:`charge_downgrade`: the same float
+        additions, in one loop."""
+        cost = self.config.downgrade_cache_access
+        total = self.breakdown.downgrade_ops
+        for _ in range(count):
+            total += cost
+        self.breakdown.downgrade_ops = total
+
     def charge_downgrade_writeback(self) -> None:
         """Write-back of a D/T line forced by a downgrade."""
         self.breakdown.downgrade_memory += self.config.memory_line_access

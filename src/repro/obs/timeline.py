@@ -85,6 +85,11 @@ class MetricsTimeline:
         """Begin sampling (call before ``engine.run``)."""
         self.system.engine.call_every(self.window, self._sample)
 
+    def detach(self) -> None:
+        """Drop the sampled machine once it has run; the samples stay."""
+        self.system = None  # type: ignore[assignment]
+        self._walker = None
+
     def _sample(self) -> None:
         system = self.system
         stats = system.stats  # rebound at the warmup reset

@@ -124,8 +124,7 @@ class CMPNode:
     def supplier_core(self, address: int) -> Optional[int]:
         """Core whose cache holds ``address`` in a supplier state."""
         for core, cache in enumerate(self.caches):
-            line = cache.lookup(address, touch=False)
-            if line is not None and line.state.supplier:
+            if cache.state_of(address).supplier:
                 return core
         return None
 
@@ -135,8 +134,7 @@ class CMPNode:
     def local_master_core(self, address: int) -> Optional[int]:
         """Core whose cache can supply ``address`` within this CMP."""
         for core, cache in enumerate(self.caches):
-            line = cache.lookup(address, touch=False)
-            if line is not None and line.state.local_master:
+            if cache.state_of(address).local_master:
                 return core
         return None
 

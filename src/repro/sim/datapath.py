@@ -22,8 +22,8 @@ predictor's downgrade bookkeeping.
   victim; ``make_downgrade_handler`` builds the per-CMP callback the
   Exact predictor invokes on replacement-driven downgrades, and
   ``record_downgrade`` charges one (the
-  :class:`~repro.sim.warmup.WarmupController` replays a prewarm
-  image's downgrades through it).
+  :class:`~repro.sim.warmup.WarmupController` charges a prewarm
+  image's downgrades through ``record_downgrades``).
 * **Outbound**: completion flows back to the
   :class:`~repro.sim.transactions.TransactionManager`
   (``complete_access``, ``retire``, ``check_version``,
@@ -38,7 +38,16 @@ LineRegistry hooks).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.coherence.protocol import (
     downgrade_state,
@@ -97,6 +106,10 @@ class DataPathModel:
         """Bind the collaborating subsystems (called once by the
         facade, before any event fires)."""
         self._txns = txns
+
+    def unwire(self) -> None:
+        """Drop the link :meth:`wire` made, once the machine has run."""
+        del self._txns
 
     def on_warmup_end(self, stats: "RunStats", energy: "EnergyModel") -> None:
         """Warmup reset notification: measurement restarts on the new
@@ -390,8 +403,7 @@ class DataPathModel:
         self, cmp_id: int, address: int, writeback: bool
     ) -> None:
         """Count and charge one Exact downgrade, after its state
-        change (and any writeback).  The prewarm installer replays an
-        image's downgrades through here."""
+        change (and any writeback)."""
         self.stats.downgrades += 1
         self.energy.charge_downgrade()
         self._downgraded.add(address)
@@ -407,6 +419,19 @@ class DataPathModel:
                     {"writeback": writeback},
                 )
             )
+
+    def record_downgrades(
+        self, cmp_id: int, addresses: Sequence[int]
+    ) -> None:
+        """:meth:`record_downgrade` for each of ``addresses`` in order,
+        none with a writeback (a prewarm image's downgrades)."""
+        if self._trace is not None:
+            for address in addresses:
+                self.record_downgrade(cmp_id, address, False)
+            return
+        self.stats.downgrades += len(addresses)
+        self.energy.charge_downgrades(len(addresses))
+        self._downgraded.update(addresses)
 
     # ------------------------------------------------------------------
     # Bookkeeping helpers

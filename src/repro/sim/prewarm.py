@@ -5,33 +5,37 @@ private data of a long-running application) are filled in E state,
 hottest last, and the Supplier Predictors are trained on the fills,
 including the Exact predictor's conflict downgrades (paper
 Section 4.3.3).  This module performs that walk once, over plain
-per-set dicts ``{address: state}``, and records its outcome as a
-:class:`PrewarmImage`.  The cores only install images:
-:meth:`repro.sim.warmup.WarmupController.apply_prewarm` builds cache
-lines from one, and :class:`repro.sim.soa.SoaRingMultiprocessor`
-adopts its per-set tuples as lazily materialized sets.
-``test_prewarm_fast_path_matches_generic_fill`` holds both installs
+per-set dicts, and records its outcome as a :class:`PrewarmImage`.
+The cores only install images:
+:meth:`repro.sim.warmup.WarmupController.apply_prewarm` hands one's
+per-set tuples to the caches, which build lines on first touch, and
+:class:`repro.sim.soa.SoaRingMultiprocessor` adopts them as lazily
+materialized sets.  ``test_prewarm_fast_path_matches_generic_fill``
+and ``tests/property/test_prewarm_properties.py`` hold both installs
 to filling every line through the generic ``Cache.fill`` path.
 
 Images are memoized in one bounded, process-level store keyed on the
 prewarm lines' *content* plus the cache geometry (``num_sets``,
 ``associativity``, ``cores_per_cmp``).  Equal lines share an image
-whichever source, descriptor or core asks: a saved trace replayed
-from file reuses the in-memory trace's image, and the think-scale
-variants of one profile share theirs.  A stored image must not depend
-on the predictor, so it keeps the predictor-free training stream plus
-trained snapshots per :class:`~repro.config.PredictorConfig`.  An
-Exact predictor's downgrades feed back into cache contents, so an
-Exact image is walked with that predictor for each construction and
-never stored.
+whichever source, descriptor, core or predictor asks: a saved trace
+replayed from file reuses the in-memory trace's image, and the
+think-scale variants of one profile share theirs.  The walk takes no
+predictor.  It records each core's fills, evictions and refills, and
+the supplier conflicts between cores, so a stored image keeps the
+predictor-free training stream plus trained snapshots per
+:class:`~repro.config.PredictorConfig`.  An Exact predictor's
+downgrades feed back into cache contents, so an Exact image is
+*derived* from the stored one for each construction
+(:meth:`PrewarmImage.exact`) and never stored.
 """
 
 from __future__ import annotations
 
 import hashlib
 import weakref
-from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import Counter, OrderedDict
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +58,13 @@ E = 3
 #: with the index dicts, so an installed line costs no new int.
 SetImage = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]]]
 
+#: A core's refill or supplier conflict: ``(position, address,
+#: earlier)``.  ``position`` is the index of the core's next op when it
+#: happened.  ``earlier`` is ``None`` for a refill of a resident line,
+#: and for a conflict it is the ``(cmp, core)`` that still held the
+#: line when this core filled it.
+Mark = Tuple[int, int, Optional[Tuple[int, int]]]
+
 #: ``(content key, num_sets, associativity, cores_per_cmp)``.
 ImageKey = Tuple[str, int, int, int]
 
@@ -67,16 +78,19 @@ class PrewarmImage:
       and evictions;
     * ``supplier_of`` / ``holder_count``: the machine-wide supplier
       and holder indexes;
-    * ``ops``: per-core predictor training stream (``address`` is
-      ``insert(address)``, ``~address`` is ``remove(address)``), or
-      ``None`` for an Exact image;
+    * ``ops``: per-core predictor training stream (``address`` is a
+      fill, ``insert(address)``; ``~address`` is an eviction,
+      ``remove(address)``);
+    * ``marks``: per core, its refills and supplier conflicts
+      (:data:`Mark`) in walk order;
     * ``snapshots``: trained per-CMP predictor state per
       :class:`PredictorConfig`;
     * ``downgrades``: per CMP, the addresses of Exact's conflict
-      downgrades in walk order.  The walk visits cores in order, and a
-      CMP's predictor only downgrades its own cores' lines, so CMP 0's
-      list, then CMP 1's, and so on is the walk's order.  Each charges
-      one downgrade without a writeback.
+      downgrades in walk order (empty but in an Exact image).  The
+      walk visits cores in order, and a CMP's predictor only
+      downgrades its own cores' lines, so CMP 0's list, then CMP 1's,
+      and so on is the walk's order.  Each charges one downgrade
+      without a writeback.
     """
 
     __slots__ = (
@@ -87,6 +101,7 @@ class PrewarmImage:
         "supplier_of",
         "holder_count",
         "ops",
+        "marks",
         "snapshots",
         "downgrades",
     )
@@ -99,7 +114,8 @@ class PrewarmImage:
         evictions: List[int],
         supplier_of: Dict[int, Tuple[int, int]],
         holder_count: Dict[int, int],
-        ops: Optional[List[List[int]]],
+        ops: List[List[int]],
+        marks: List[List[Mark]],
         downgrades: List[List[int]],
     ) -> None:
         self.cores_per_cmp = cores_per_cmp
@@ -109,6 +125,7 @@ class PrewarmImage:
         self.supplier_of = supplier_of
         self.holder_count = holder_count
         self.ops = ops
+        self.marks = marks
         self.snapshots: Dict[PredictorConfig, List[object]] = {}
         self.downgrades = downgrades
 
@@ -121,9 +138,10 @@ class PrewarmImage:
         state.
 
         Restores ``config``'s snapshot when the image has one.
-        Otherwise replays the training stream through the predictors'
-        own ``insert``/``remove`` (which reproduces their update
-        counters too) and snapshots the result for the next machine.
+        Otherwise hands each predictor its CMP's training stream
+        (:meth:`SupplierPredictor.prewarm_train`, which reproduces the
+        update counters too) and snapshots the result for the next
+        machine.
         """
         if config.kind in ("none", "perfect"):
             return
@@ -132,16 +150,8 @@ class PrewarmImage:
             for predictor, snapshot in zip(predictors, snapshots):
                 predictor.prewarm_restore(snapshot)
             return
-        assert self.ops is not None
-        for core, core_ops in enumerate(self.ops):
-            predictor = predictors[core // self.cores_per_cmp]
-            insert = predictor.insert
-            remove = predictor.remove
-            for op in core_ops:
-                if op >= 0:
-                    insert(op)
-                else:
-                    remove(~op)
+        for cmp_id, predictor in enumerate(predictors):
+            predictor.prewarm_train(self._cmp_ops(cmp_id))
         recorded: List[object] = []
         for predictor in predictors:
             snapshot = predictor.prewarm_snapshot()
@@ -149,6 +159,112 @@ class PrewarmImage:
                 return
             recorded.append(snapshot)
         self.snapshots[config] = recorded
+
+    def _cmp_ops(self, cmp_id: int) -> List[int]:
+        """The training stream of one CMP's cores, in walk order."""
+        cores = self.ops[
+            cmp_id * self.cores_per_cmp : (cmp_id + 1) * self.cores_per_cmp
+        ]
+        return cores[0] if len(cores) == 1 else list(chain(*cores))
+
+    def check_conflicts(self) -> None:
+        """Raise the walk's first supplier conflict, as filling the
+        lines through ``Cache.fill`` does with any predictor but
+        Exact."""
+        for core, marks in enumerate(self.marks):
+            for _, address, earlier in marks:
+                if earlier is not None:
+                    raise _conflict(address, self._home(core), earlier)
+
+    def _home(self, core: int) -> Tuple[int, int]:
+        return divmod(core, self.cores_per_cmp)
+
+    def exact(self, config: PredictorConfig) -> "PrewarmImage":
+        """The image of the same walk with one Exact predictor per CMP
+        (``config``) fed back into the caches.
+
+        Replays each CMP's stream through its Exact table
+        (:meth:`ExactPredictor.prewarm_train`).  A table victim is
+        downgraded to SL in walk order; a downgraded line's later
+        eviction books no remove, and its refill regains E and inserts
+        it again.  While a core replays, a line it holds is in E
+        exactly when its CMP's table tracks it, so the table answers
+        every state question: a refill regains only an untracked line,
+        and a conflict raises only if the earlier holder's CMP still
+        tracks the line (a downgrade may have left that copy in SL).
+
+        The result shares the walk's residency, counters and holder
+        index.  Its sets mark the downgraded lines still resident as
+        SL, and its supplier index drops them.
+        """
+        cores_per_cmp = self.cores_per_cmp
+        num_cmps = len(self.ops) // cores_per_cmp
+        predictors = [ExactPredictor(config) for _ in range(num_cmps)]
+        downgrades: List[List[int]] = [[] for _ in range(num_cmps)]
+        for core, core_ops in enumerate(self.ops):
+            cmp_id = core // cores_per_cmp
+            predictor = predictors[cmp_id]
+            log = downgrades[cmp_id]
+            start = 0
+            for position, address, earlier in self.marks[core]:
+                predictor.prewarm_train(core_ops[start:position], log)
+                start = position
+                if earlier is None:
+                    if address not in predictor:
+                        predictor.prewarm_train((address,), log)
+                elif address in predictors[earlier[0]]:
+                    raise _conflict(address, self._home(core), earlier)
+            predictor.prewarm_train(
+                core_ops[start:] if start else core_ops, log
+            )
+        sets = list(self.sets)
+        supplier_of = self.supplier_of
+        for cmp_id, predictor in enumerate(predictors):
+            downgraded = set(downgrades[cmp_id])
+            if not downgraded:
+                continue
+            # Lines a refill brought back to E.  Only the CMP's last
+            # core holding such a line can hold it in E: a later core
+            # fills a line only once the earlier copies are SL.
+            regained = downgraded & predictor.tracked()
+            base = cmp_id * cores_per_cmp
+            for core in range(base + cores_per_cmp - 1, base - 1, -1):
+                home = (cmp_id, core - base)
+                core_sets: Optional[Dict[int, SetImage]] = None
+                for index, (addresses, _) in self.sets[core].items():
+                    if downgraded.isdisjoint(addresses):
+                        continue
+                    codes = []
+                    for address in addresses:
+                        if address not in downgraded:
+                            codes.append(E)
+                        elif address in regained:
+                            regained.discard(address)
+                            codes.append(E)
+                        else:
+                            codes.append(SL)
+                            if supplier_of.get(address) == home:
+                                if supplier_of is self.supplier_of:
+                                    supplier_of = dict(supplier_of)
+                                del supplier_of[address]
+                    if core_sets is None:
+                        core_sets = sets[core] = dict(self.sets[core])
+                    core_sets[index] = (addresses, tuple(codes))
+        image = PrewarmImage(
+            cores_per_cmp,
+            sets,
+            self.fills,
+            self.evictions,
+            supplier_of,
+            self.holder_count,
+            self.ops,
+            self.marks,
+            downgrades,
+        )
+        image.snapshots[config] = [
+            predictor.prewarm_snapshot() for predictor in predictors
+        ]
+        return image
 
 
 #: The image store, least recently used first.  Four entries hold a
@@ -180,17 +296,18 @@ def prewarm_image(
     source: WorkloadSource, config: MachineConfig
 ) -> Optional[PrewarmImage]:
     """The prewarm image of ``source`` on ``config``'s machine, or
-    ``None`` when the source has no prewarm lines."""
+    ``None`` when the source has no prewarm lines.
+
+    Raises the walk's supplier conflict as ``Cache.fill`` would: the
+    first one, or with an Exact predictor the first whose earlier copy
+    no downgrade has left in SL.
+    """
     lines = source.prewarm()
     if not lines:
         return None
     num_sets = config.cache.num_sets
     associativity = config.cache.associativity
     cores_per_cmp = config.cores_per_cmp
-    if config.predictor.kind == "exact":
-        return _walk(
-            lines, num_sets, associativity, cores_per_cmp, config.predictor
-        )
     content = _CONTENT_KEYS.get(source)
     if content is None:
         content = _CONTENT_KEYS[source] = _hash_lines(lines)
@@ -198,12 +315,15 @@ def prewarm_image(
     image = _IMAGES.get(key)
     if image is not None:
         _IMAGES.move_to_end(key)
-        return image
-    image = _IMAGES[key] = _walk(
-        lines, num_sets, associativity, cores_per_cmp, None
-    )
-    while len(_IMAGES) > _IMAGE_LIMIT:
-        _IMAGES.popitem(last=False)
+    else:
+        image = _IMAGES[key] = _walk(
+            lines, num_sets, associativity, cores_per_cmp
+        )
+        while len(_IMAGES) > _IMAGE_LIMIT:
+            _IMAGES.popitem(last=False)
+    if config.predictor.kind == "exact":
+        return image.exact(config.predictor)
+    image.check_conflicts()
     return image
 
 
@@ -212,148 +332,90 @@ def _walk(
     num_sets: int,
     associativity: int,
     cores_per_cmp: int,
-    exact: Optional[PredictorConfig],
 ) -> PrewarmImage:
     """Fill every core's prewarm lines in reverse (the hottest, listed
     first, end up most recently used), with the callback effects of
-    ``Cache.fill`` inlined.
+    ``Cache.fill`` inlined and every line in E.
 
-    Without ``exact`` the walk records the training stream instead of
-    training a predictor.  With it, the walk trains one Exact
-    predictor per CMP, applies and logs their conflict downgrades,
-    and snapshots the trained predictors.
+    Records the training stream instead of training a predictor, and a
+    core's fill of a line another core still supplies as a conflict
+    instead of raising it; the line's supplier becomes the new core.
+    Which lines are resident, and in what LRU order, does not depend
+    on the predictor: Exact's downgrades change states only.
     """
-    num_cores = len(lines)
-    num_cmps = num_cores // cores_per_cmp
-    core_sets: List[List[Dict[int, int]]] = [
-        [{} for _ in range(num_sets)] for _ in range(num_cores)
-    ]
     supplier_of: Dict[int, Tuple[int, int]] = {}
-    fills = [0] * num_cores
-    evictions = [0] * num_cores
-    downgrades: List[List[int]] = []
-    predictors: List[ExactPredictor] = []
-    # The conflict victim an Exact insert just reported.  It is
-    # downgraded right after the insert returns: the object core's
-    # callback is the insert's last step, so the effects are the same.
-    victims: List[int] = []
-    if exact is not None:
-        downgrades = [[] for _ in range(num_cmps)]
-        predictors = [ExactPredictor(exact) for _ in range(num_cmps)]
-        for predictor in predictors:
-            predictor.set_downgrade_callback(victims.append)
-
-    def downgrade(cmp_id: int, address: int) -> None:
-        """Exact's conflict downgrade (``DataPathModel``'s handler on a
-        clean line): the CMP's first core holding the line in E keeps
-        it in SL."""
-        base = cmp_id * cores_per_cmp
-        set_index = address % num_sets
-        for local in range(cores_per_cmp):
-            cache_set = core_sets[base + local][set_index]
-            if cache_set.get(address) == E:
-                break
-        else:
-            return
-        cache_set[address] = SL
-        predictors[cmp_id].remove(address)
-        if supplier_of.get(address) == (cmp_id, local):
-            del supplier_of[address]
-        downgrades[cmp_id].append(address)
-
-    ops: Optional[List[List[int]]] = None if predictors else []
+    images: List[Dict[int, SetImage]] = []
+    fills: List[int] = []
+    evictions: List[int] = []
+    ops: List[List[int]] = []
+    marks: List[List[Mark]] = []
     for core, core_lines in enumerate(lines):
-        cmp_id = core // cores_per_cmp
-        home = (cmp_id, core % cores_per_cmp)
-        sets = core_sets[core]
-        insert: Callable[[int], None]
-        remove: Callable[[int], None]
-        if ops is None:
-            insert = predictors[cmp_id].insert
-            remove = predictors[cmp_id].remove
-        else:
-            core_ops: List[int] = []
-            ops.append(core_ops)
-            insert = core_ops.append
-            remove = lambda address: core_ops.append(~address)
-        core_fills = core_evictions = 0
+        home = divmod(core, cores_per_cmp)
+        sets: List[Dict[int, None]] = [{} for _ in range(num_sets)]
+        core_ops: List[int] = []
+        core_marks: List[Mark] = []
+        record = core_ops.append
         for address in reversed(core_lines):
             cache_set = sets[address % num_sets]
-            state = cache_set.pop(address, None)
-            if state is not None:
-                # Duplicate line: refill in place.  A line an Exact
-                # downgrade left in SL regains supplier state.
-                cache_set[address] = E
-                if state != E:
-                    _gain_supplier(supplier_of, address, home)
-                    insert(address)
-                    if victims:
-                        downgrade(cmp_id, victims.pop())
+            if address in cache_set:
+                # Refill in place: the line becomes most recently used.
+                del cache_set[address]
+                cache_set[address] = None
+                core_marks.append((len(core_ops), address, None))
                 continue
             if len(cache_set) >= associativity:
                 victim = next(iter(cache_set))
-                if cache_set.pop(victim) == E:
-                    # Supplier loss: the predictor first, then the index.
-                    remove(victim)
-                    if supplier_of.get(victim) == home:
-                        del supplier_of[victim]
-                core_evictions += 1
-            cache_set[address] = E
-            core_fills += 1
-            # Register the supplier before training: an Exact downgrade
-            # triggered by the insert must see a consistent index.
-            _gain_supplier(supplier_of, address, home)
-            insert(address)
-            if victims:
-                downgrade(cmp_id, victims.pop())
-        fills[core] = core_fills
-        evictions[core] = core_evictions
+                del cache_set[victim]
+                record(~victim)
+                # Only a later core's fill moves a line's supplier
+                # entry, so this core's victim still owns its entry.
+                del supplier_of[victim]
+            cache_set[address] = None
+            earlier = supplier_of.setdefault(address, home)
+            if earlier is not home:
+                core_marks.append((len(core_ops), address, earlier))
+                supplier_of[address] = home
+            record(address)
+        core_fills = len(core_lines) - sum(
+            1 for mark in core_marks if mark[2] is None
+        )
+        images.append(
+            {
+                index: (tuple(cache_set), None)
+                for index, cache_set in enumerate(sets)
+                if cache_set
+            }
+        )
+        fills.append(core_fills)
+        evictions.append(len(core_ops) - core_fills)
+        ops.append(core_ops)
+        marks.append(core_marks)
     # The holder index counts resident copies, so it is read off the
-    # final sets (sized to fit) rather than kept up during the walk.
-    holder_count: Dict[int, int] = {}
-    for sets in core_sets:
-        for cache_set in sets:
-            for address in cache_set:
-                holder_count[address] = holder_count.get(address, 0) + 1
-    image = PrewarmImage(
+    # final sets rather than kept up during the walk.
+    holder_count = Counter(
+        chain.from_iterable(
+            addresses
+            for core_images in images
+            for addresses, _ in core_images.values()
+        )
+    )
+    return PrewarmImage(
         cores_per_cmp,
-        [_set_images(sets, exact is not None) for sets in core_sets],
+        images,
         fills,
         evictions,
         supplier_of,
         holder_count,
         ops,
-        downgrades,
+        marks,
+        [[] for _ in range(len(lines) // cores_per_cmp)],
     )
-    if exact is not None:
-        image.snapshots[exact] = [
-            predictor.prewarm_snapshot() for predictor in predictors
-        ]
-    return image
 
 
-def _gain_supplier(
-    supplier_of: Dict[int, Tuple[int, int]],
-    address: int,
-    home: Tuple[int, int],
-) -> None:
-    existing = supplier_of.get(address)
-    if existing is not None and existing != home:
-        raise CoherenceError(
-            "line %#x gained supplier at %s while %s still holds it"
-            % (address, home, existing)
-        )
-    supplier_of[address] = home
-
-
-def _set_images(
-    sets: List[Dict[int, int]], with_states: bool
-) -> Dict[int, SetImage]:
-    images: Dict[int, SetImage] = {}
-    for index, cache_set in enumerate(sets):
-        if cache_set:
-            images[index] = (
-                tuple(cache_set),
-                tuple(cache_set.values()) if with_states else None,
-            )
-    return images
+def _conflict(
+    address: int, home: Tuple[int, int], earlier: Tuple[int, int]
+) -> CoherenceError:
+    return CoherenceError(
+        "line %#x gained supplier at %s while %s still holds it"
+        % (address, home, earlier)
+    )

@@ -298,13 +298,16 @@ class SoaRingMultiprocessor:
             self._holder_count.update(image.holder_count)
             self._supplier_of.update(image.supplier_of)
             image.train(self._predictors, config.predictor)
+            cost = config.energy.downgrade_cache_access
+            charged = 0.0
             for addresses in image.downgrades:
-                for address in addresses:
-                    self._init_downgrades += 1
-                    self._init_e_downgrade_ops += (
-                        config.energy.downgrade_cache_access
-                    )
-                    self._downgraded.add(address)
+                self._init_downgrades += len(addresses)
+                self._downgraded.update(addresses)
+                # One addition per downgrade, as the object core's
+                # energy model charges them.
+                for _ in addresses:
+                    charged += cost
+            self._init_e_downgrade_ops = charged
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -24,8 +24,8 @@ facade (see ``docs/architecture.md`` for the full picture):
 
 The facade owns what the subsystems share: the event engine, the
 topologies and memory, the machine-wide supplier/holder indexes (fed
-by the LineRegistry hooks below), and the current ``RunStats`` /
-``EnergyModel`` pair.  When the warmup window closes, the
+by the cache callbacks through :class:`LineIndex`), and the current
+``RunStats`` / ``EnergyModel`` pair.  When the warmup window closes, the
 :class:`WarmupController` builds fresh measurement objects and the
 facade broadcasts them to every subsystem via
 :meth:`rebind_measurement`, so the hot paths keep reading plain
@@ -73,7 +73,7 @@ from repro.energy.model import EnergyModel
 from repro.metrics.stats import RunStats
 from repro.obs.timeline import MetricsTimeline
 from repro.obs.trace import TraceSink, resolve_sink
-from repro.ring.node import CMPNode
+from repro.ring.node import CMPNode, LineRegistry
 from repro.ring.topology import build_topology
 from repro.sim.datapath import DataPathModel
 from repro.sim.engine import EventEngine
@@ -85,6 +85,8 @@ from repro.sim.warmup import WarmupController
 from repro.workloads.source import WorkloadSource, as_source
 from repro.workloads.synthetic import SharingProfile
 from repro.workloads.trace import WorkloadTrace
+
+_I = LineState.I
 
 __all__ = [
     "RingMultiprocessor",
@@ -113,6 +115,54 @@ class SimulationResult:
         data = self.stats.summary()
         data["energy_total"] = self.total_energy
         return data
+
+
+class LineIndex(LineRegistry):
+    """The machine-wide supplier and holder indexes, kept up by the
+    caches' callbacks (the LineRegistry hooks), plus the presence
+    filters those callbacks train.
+
+    A separate object rather than the facade, so the caches' callbacks
+    hold no reference back to the machine.
+    """
+
+    def __init__(
+        self,
+        supplier_of: Dict[int, Tuple[int, int]],
+        holder_count: Dict[int, int],
+        presence: List[PresencePredictor],
+    ) -> None:
+        self._supplier_of = supplier_of
+        self._holder_count = holder_count
+        self.presence = presence
+
+    def supplier_gain(self, cmp_id: int, core: int, address: int) -> None:
+        existing = self._supplier_of.get(address)
+        if existing is not None and existing != (cmp_id, core):
+            raise CoherenceError(
+                "line %#x gained supplier at %s while %s still holds it"
+                % (address, (cmp_id, core), existing)
+            )
+        self._supplier_of[address] = (cmp_id, core)
+
+    def supplier_loss(self, cmp_id: int, core: int, address: int) -> None:
+        existing = self._supplier_of.get(address)
+        if existing == (cmp_id, core):
+            del self._supplier_of[address]
+
+    def line_added(self, cmp_id: int, core: int, address: int) -> None:
+        self._holder_count[address] = self._holder_count.get(address, 0) + 1
+        if self.presence:
+            self.presence[cmp_id].line_added(address)
+
+    def line_removed(self, cmp_id: int, core: int, address: int) -> None:
+        count = self._holder_count.get(address, 0) - 1
+        if count <= 0:
+            self._holder_count.pop(address, None)
+        else:
+            self._holder_count[address] = count
+        if self.presence:
+            self.presence[cmp_id].line_removed(address)
 
 
 class RingMultiprocessor:
@@ -183,7 +233,7 @@ class RingMultiprocessor:
         self.energy = EnergyModel(config.energy, config.predictor.kind)
 
         # O(1) line-location indexes, kept consistent by cache
-        # callbacks routed through the LineRegistry hooks below.  The
+        # callbacks routed through the LineIndex hooks.  The
         # subsystems hold references to these same dict objects.
         self._supplier_of: Dict[int, Tuple[int, int]] = {}
         self._holder_count: Dict[int, int] = {}
@@ -196,13 +246,14 @@ class RingMultiprocessor:
             else []
         )
 
+        lines = LineIndex(self._supplier_of, self._holder_count, self.presence)
         self.nodes: List[CMPNode] = [
             CMPNode(
                 i,
                 config.cores_per_cmp,
                 config.cache,
                 config.predictor,
-                registry=self,
+                registry=lines,
             )
             for i in range(config.num_cmps)
         ]
@@ -295,35 +346,7 @@ class RingMultiprocessor:
         self.warmup.apply_prewarm()
 
     # ==================================================================
-    # LineRegistry hooks (called synchronously by cache mutations)
-
-    def supplier_gain(self, cmp_id: int, core: int, address: int) -> None:
-        existing = self._supplier_of.get(address)
-        if existing is not None and existing != (cmp_id, core):
-            raise CoherenceError(
-                "line %#x gained supplier at %s while %s still holds it"
-                % (address, (cmp_id, core), existing)
-            )
-        self._supplier_of[address] = (cmp_id, core)
-
-    def supplier_loss(self, cmp_id: int, core: int, address: int) -> None:
-        existing = self._supplier_of.get(address)
-        if existing == (cmp_id, core):
-            del self._supplier_of[address]
-
-    def line_added(self, cmp_id: int, core: int, address: int) -> None:
-        self._holder_count[address] = self._holder_count.get(address, 0) + 1
-        if self.presence:
-            self.presence[cmp_id].line_added(address)
-
-    def line_removed(self, cmp_id: int, core: int, address: int) -> None:
-        count = self._holder_count.get(address, 0) - 1
-        if count <= 0:
-            self._holder_count.pop(address, None)
-        else:
-            self._holder_count[address] = count
-        if self.presence:
-            self.presence[cmp_id].line_removed(address)
+    # Construction helpers
 
     def _make_supplier_truth(self, cmp_id: int):
         supplier_of = self._supplier_of
@@ -369,6 +392,7 @@ class RingMultiprocessor:
         self.stats.hops_batched = self.walker.hops_batched
         self.stats.messages_allocated = self.txns.messages_allocated
         self.stats.messages_reused = self.txns.messages_reused
+        self._unwire()
         return SimulationResult(
             algorithm=self.algorithm.name,
             workload=self.source.name,
@@ -378,6 +402,24 @@ class RingMultiprocessor:
             events=self.engine.events_processed,
             config=self.config,
         )
+
+    def _unwire(self) -> None:
+        """Cut the links that make a machine a reference cycle, once it
+        has run: the subsystems' links to each other and to the facade,
+        Exact's downgrade handlers (which close over the datapath) and
+        the timeline's link to the facade.  Dropping the last reference
+        to a finished machine then frees it without the cyclic
+        collector.  Its state stays readable (``nodes``, ``stats``,
+        ``datapath._downgraded``, ``timeline.samples``, ...)."""
+        for node in self.nodes:
+            if node.is_exact:
+                node.predictor.set_downgrade_callback(None)
+        self.txns.unwire()
+        self.walker.unwire()
+        self.datapath.unwire()
+        self.warmup.unwire()
+        if self.timeline is not None:
+            self.timeline.detach()
 
     def rebind_measurement(
         self, stats: RunStats, energy: EnergyModel
@@ -435,10 +477,14 @@ class RingMultiprocessor:
         self.txns.check_version(address, obtained, txn=txn, at_issue=at_issue)
 
     def _check_line_invariants(self, address: int) -> None:
-        snapshot: Dict[Tuple[int, int], LineState] = {}
+        # ``state_of`` reads prewarmed sets without building them.
+        holders: Dict[Tuple[int, int], LineState] = {}
         for node in self.nodes:
+            cmp_id = node.cmp_id
             for core_idx, cache in enumerate(node.caches):
                 state = cache.state_of(address)
-                if state != LineState.I:
-                    snapshot[(node.cmp_id, core_idx)] = state
-        ProtocolTables.check_line(snapshot, address)
+                if state is not _I:
+                    holders[(cmp_id, core_idx)] = state
+        # A single copy breaks none of the rules check_line enforces.
+        if len(holders) > 1:
+            ProtocolTables.check_line(holders, address)

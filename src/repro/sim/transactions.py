@@ -206,6 +206,13 @@ class TransactionManager:
         self._warmup_target = warmup.warmup_target
         self._in_warmup = warmup.in_warmup
 
+    def unwire(self) -> None:
+        """Drop the links :meth:`wire` made, and the per-core issue
+        callbacks that close over this manager, once the machine has
+        run."""
+        del self._walker, self._datapath, self._warmup, self._system
+        self._issue_cbs = []
+
     def on_warmup_end(self, stats: "RunStats") -> None:
         """Warmup reset notification: measurement restarts on ``stats``."""
         self.stats = stats
@@ -482,10 +489,13 @@ class TransactionManager:
             self._system._check_line_invariants(txn.address)
         # The walk is over and nothing reads the message after
         # retirement: return it to the pool for the next transaction.
+        # Dropping the step callback, which closes over the
+        # transaction, lets reference counting free a retired one.
         msg = txn.msg
         if msg is not None:
             txn.msg = None
             self._msg_pool.append(msg)
+        txn.step_cb = _noop
         waiters, txn.waiters = txn.waiters, []
         for position, waiter in enumerate(waiters):
             if trace is not None:

@@ -201,6 +201,10 @@ class RingWalker:
         self._datapath = datapath
         self._in_warmup = warmup.in_warmup
 
+    def unwire(self) -> None:
+        """Drop the links :meth:`wire` made, once the machine has run."""
+        del self._txns, self._datapath
+
     def on_warmup_end(self, stats: "RunStats", energy: "EnergyModel") -> None:
         """Warmup reset notification: measurement restarts on the new
         stats/energy objects and hop batching un-suspends.

@@ -11,9 +11,9 @@ training from measurement:
   :mod:`repro.sim.prewarm`, the one prewarm walk both cores share.
   Images are memoized there, keyed on the prewarm lines' content and
   the cache geometry, so a harness simulating one workload under
-  several algorithms, think scales or cores pays the walk once.
-  Exact-predictor images are walked for each construction and never
-  stored.
+  several algorithms, predictors, think scales or cores pays the walk
+  once.  Exact-predictor images are derived from the stored walk for
+  each construction and never stored.
 * **Warmup-window reset** (``end_warmup``, called by the
   :class:`~repro.sim.transactions.TransactionManager` when the
   completed-access threshold is crossed): builds fresh ``RunStats``
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.coherence.cache import CacheLine
 from repro.coherence.states import LineState
 from repro.energy.model import EnergyModel
 from repro.metrics.stats import RunStats
@@ -86,6 +85,11 @@ class WarmupController:
         broadcasts measurement rebinds to the other subsystems."""
         self._system = system
 
+    def unwire(self) -> None:
+        """Drop the facade link :meth:`wire` made, once the machine has
+        run."""
+        del self._system
+
     # ------------------------------------------------------------------
     # Warmup-window reset
 
@@ -115,49 +119,39 @@ class WarmupController:
 
     def apply_prewarm(self) -> None:
         """Install the workload's prewarm image (see
-        :mod:`repro.sim.prewarm`): cache lines in recorded LRU order,
-        the fill/eviction counters, the supplier/holder indexes and
-        the trained predictors.
+        :mod:`repro.sim.prewarm`): per-set content the caches build on
+        first touch, the fill/eviction counters, the supplier/holder
+        indexes and the trained predictors.
 
         Presence filters (the write-filter extension) are trained from
         the resident lines: a counting Bloom filter's counters depend
         only on what is resident, and every fill and eviction of the
         walk counted one update.  An Exact image's downgrades are
-        replayed through :meth:`DataPathModel.record_downgrade`, which
-        charges them and emits their t=0 ``DOWNGRADE`` trace events.
+        charged through :meth:`DataPathModel.record_downgrades`, which
+        also emits their t=0 ``DOWNGRADE`` trace events.
         """
         image = prewarm_image(self.workload, self.config)
         if image is None:
             return
         states = {E: LineState.E, SL: LineState.SL}
-        state_e = LineState.E
         for index, core in enumerate(self.cores):
             cache = self.nodes[core.cmp_id].caches[core.local_id]
-            sets = cache._sets
-            presence = self.presence[core.cmp_id] if self.presence else None
-            for set_index, (addresses, codes) in image.sets[index].items():
-                cache_set = sets[set_index]
-                if codes is None:
-                    for address in addresses:
-                        cache_set[address] = CacheLine(address, state_e, 0)
-                else:
-                    for address, code in zip(addresses, codes):
-                        cache_set[address] = CacheLine(
-                            address, states[code], 0
-                        )
-                if presence is not None:
-                    for address in addresses:
-                        presence.filter.add(address)
+            sets = image.sets[index]
+            cache.install(sets, states, LineState.E)
             cache.fills += image.fills[index]
             cache.evictions += image.evictions[index]
-            if presence is not None:
+            if self.presence:
+                presence = self.presence[core.cmp_id]
+                add = presence.filter.add
+                for addresses, _ in sets.values():
+                    for address in addresses:
+                        add(address)
                 presence.updates += image.fills[index] + image.evictions[index]
         self._holder_count.update(image.holder_count)
         self._supplier_of.update(image.supplier_of)
         image.train(
             [node.predictor for node in self.nodes], self.config.predictor
         )
-        record_downgrade = self._system.datapath.record_downgrade
+        datapath = self._system.datapath
         for cmp_id, addresses in enumerate(image.downgrades):
-            for address in addresses:
-                record_downgrade(cmp_id, address, False)
+            datapath.record_downgrades(cmp_id, addresses)

@@ -55,6 +55,15 @@ def scramble(logical: int) -> int:
     return (z ^ (z >> 31)) & _PHYSICAL_MASK
 
 
+def scramble_array(logical: np.ndarray) -> np.ndarray:
+    """:func:`scramble` over a ``uint64`` array: numpy's ``uint64``
+    arithmetic wraps modulo 2**64, as the scalar version's masks do."""
+    z = logical.astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))) & np.uint64(_PHYSICAL_MASK)
+
+
 @dataclass(frozen=True)
 class SharingProfile:
     """Knobs of the synthetic generator.
@@ -215,7 +224,9 @@ def generate_workload(profile: SharingProfile) -> WorkloadTrace:
             # Hottest (lowest zipf rank) lines first; the simulator
             # fills them in reverse so they end up most recently used.
             workload.prewarm.append(
-                [scramble(base + i) for i in range(count)]
+                scramble_array(
+                    np.arange(base, base + count, dtype=np.uint64)
+                ).tolist()
             )
     workload.validate()
     return workload

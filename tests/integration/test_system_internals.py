@@ -3,13 +3,18 @@ version checking plumbing, multi-ring mapping, and rerun protection."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from repro.config import CacheConfig, default_machine
+from repro.config import CacheConfig, TraceConfig, default_machine
 from repro.coherence.protocol import CoherenceError
+from repro.coherence.cache import CacheLine
 from repro.coherence.states import LineState
 from repro.core.algorithms import build_algorithm
 from repro.sim.system import RingMultiprocessor
+from repro.workloads.profiles import build_workload
 from repro.workloads.trace import Access, WorkloadTrace
 
 
@@ -121,3 +126,88 @@ def test_invariant_checker_runs_on_demand():
     )(address=0x40, state=LineState.D, version=0)
     with pytest.raises(CoherenceError):
         system._check_line_invariants(0x40)
+
+
+def plant(system, cmp_id, core, address, state):
+    """Put a line straight into a cache set, bypassing the registry
+    (which would refuse a second supplier before the checker sees it)."""
+    cache = system.nodes[cmp_id].caches[core]
+    cache._sets[address % cache.config.num_sets][address] = CacheLine(
+        address, state, 0
+    )
+
+
+def test_invariant_checker_reports_two_global_suppliers():
+    system = empty_system(check_invariants=True)
+    plant(system, 0, 0, 0x40, LineState.E)
+    plant(system, 1, 0, 0x40, LineState.SG)
+    with pytest.raises(
+        CoherenceError,
+        match=r"^line 0x40 has 2 global suppliers: \[\(0, 0\), \(1, 0\)\]$",
+    ):
+        system._check_line_invariants(0x40)
+
+
+def test_invariant_checker_reports_two_local_masters():
+    system = empty_system(check_invariants=True)
+    plant(system, 2, 0, 0x40, LineState.SL)
+    plant(system, 2, 1, 0x40, LineState.SL)
+    with pytest.raises(
+        CoherenceError,
+        match=(
+            r"^line 0x40 has 2 local masters in CMP 2: "
+            r"\[\(2, 0\), \(2, 1\)\]$"
+        ),
+    ):
+        system._check_line_invariants(0x40)
+
+
+def test_invariant_checker_reports_incompatible_states():
+    system = empty_system(check_invariants=True)
+    plant(system, 0, 1, 0x40, LineState.D)
+    plant(system, 3, 0, 0x40, LineState.S)
+    with pytest.raises(
+        CoherenceError,
+        match=r"^line 0x40: incompatible states D@\(0, 1\) and S@\(3, 0\)$",
+    ):
+        system._check_line_invariants(0x40)
+
+
+@pytest.mark.parametrize(
+    "algorithm,overrides",
+    [
+        ("exact", {"check_invariants": True}),
+        ("superset_con", {"filter_write_snoops": True}),
+        ("lazy", {"tracing": TraceConfig(enabled=True, sample_window=200)}),
+    ],
+)
+def test_run_machine_is_freed_by_reference_counting(algorithm, overrides):
+    """A finished machine holds no reference cycle: with the cyclic
+    collector off, dropping the last reference frees it, and what a
+    caller reads after the run stays readable until then."""
+    workload = build_workload("splash2", 60, num_cmps=4)
+    machine = default_machine(
+        algorithm=algorithm,
+        num_cmps=workload.num_cmps,
+        cores_per_cmp=workload.cores_per_cmp,
+        predictor="Exa512" if algorithm == "exact" else None,
+        **overrides,
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        system = RingMultiprocessor(
+            machine, build_algorithm(algorithm), workload, warmup_fraction=0.2
+        )
+        result = system.run()
+        assert system.stats is result.stats
+        assert system.nodes[0].caches[0].fills > 0
+        if algorithm == "exact":
+            assert system.datapath._downgraded
+        if system.timeline is not None:
+            assert system.timeline.samples
+        machine_ref = weakref.ref(system)
+        del system
+        assert machine_ref() is None
+    finally:
+        gc.enable()

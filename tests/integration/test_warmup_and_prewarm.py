@@ -229,20 +229,19 @@ SOA_STATES = (
 
 def cache_sets(system):
     """Per core, per set: ``(address, state, version)`` in LRU order.
-    The soa core's sets are materialized from its pending arrays."""
+    Both cores' sets are materialized from their pending content."""
     if isinstance(system, RingMultiprocessor):
-        return [
-            [
-                [
-                    (address, line.state, line.version)
-                    for address, line in cache_set.items()
-                ]
-                for cache_set in system.nodes[core.cmp_id]
-                .caches[core.local_id]
-                ._sets
-            ]
-            for core in system.cores
-        ]
+        num_sets = system.config.cache.num_sets
+        caches = []
+        for core in system.cores:
+            sets = [[] for _ in range(num_sets)]
+            cache = system.nodes[core.cmp_id].caches[core.local_id]
+            for line in cache.iter_lines():
+                sets[line.address % num_sets].append(
+                    (line.address, line.state, line.version)
+                )
+            caches.append(sets)
+        return caches
     return [
         [
             [
@@ -413,13 +412,26 @@ def test_prewarm_memo_matches_full_walk(algorithm, image_walks):
 
 def test_no_core_keeps_an_exact_image(image_walks):
     """Exact's conflict downgrades let predictor training feed back
-    into cache state, so each construction walks its own Exact image
-    and neither core stores it."""
+    into cache state, so each construction derives its Exact image
+    from the one stored walk, which also serves the other predictors,
+    and neither core stores the derived image."""
     workload = generate_workload(overflow_profile())
-    for core in ("object", "soa", "object"):
-        build_for("exact", workload, core)
-    assert len(image_walks) == 3
-    assert not prewarm_module._IMAGES
+    exact = PredictorConfig(kind="exact", entries=64)
+    first = build_for("exact", workload, "object", exact)
+    build_for("exact", workload, "soa", exact)
+    second = build_for("exact", workload, "object", exact)
+    build_for("subset", workload, "soa")
+    assert len(image_walks) == 1
+    (image,) = prewarm_module._IMAGES.values()
+    assert list(image.snapshots) == [NAMED_PREDICTORS["Sub2k"]]
+    assert not any(image.downgrades)
+    assert all(
+        codes is None
+        for core_sets in image.sets
+        for _, codes in core_sets.values()
+    )
+    assert first.stats.downgrades > 0
+    assert machine_state(first) == machine_state(second)
 
 
 def test_object_then_soa_build_walks_once(image_walks):

@@ -11,6 +11,10 @@ downgrades lines that a core refills or another core fills later.
 Each draw must leave both paths in an equal ``machine_state``, or make
 both raise a ``CoherenceError`` with the same message.
 
+A second property holds the Subset and Superset predictors' bulk
+training (``prewarm_train``) to the per-op ``insert``/``remove``
+replay over the same walk's streams.
+
 Tier-1 runs a fast profile; set ``FLEXSNOOP_PROPERTY_EXAMPLES`` (e.g.
 to 200) for a long run.
 """
@@ -27,7 +31,9 @@ from repro.coherence.protocol import CoherenceError
 from repro.coherence.states import LineState
 from repro.config import CacheConfig, PredictorConfig, default_machine
 from repro.core.algorithms import build_algorithm
+from repro.core.predictors import SupplierPredictor, build_predictor
 from repro.registry import REGISTRY
+from repro.sim.prewarm import _walk
 from repro.workloads.synthetic import SharingProfile, generate_workload
 from tests.integration.test_warmup_and_prewarm import machine_state
 
@@ -148,3 +154,27 @@ def test_prewarm_image_matches_generic_fill(case):
         expected[1]["extra"] = None
     assert actual == expected
 
+
+@given(
+    prewarm_cases(),
+    predictors().filter(lambda config: config.kind != "exact"),
+    st.lists(st.integers(0, 400), max_size=6),
+)
+@settings(max_examples=EXAMPLES, deadline=None)
+def test_bulk_training_matches_per_op_replay(case, predictor, excluded):
+    lines, cores_per_cmp, cache, _, _, _ = case
+    image = _walk(
+        lines, cache.num_sets, cache.associativity, cores_per_cmp
+    )
+    for cmp_id in range(len(lines) // cores_per_cmp):
+        ops = image._cmp_ops(cmp_id)
+        bulk = build_predictor(predictor)
+        replayed = build_predictor(predictor)
+        # Superset's Exclude cache is empty before a run; seed it so
+        # the inserts' removals from it are checked too.
+        for address in excluded:
+            bulk.observe_false_positive(address)
+            replayed.observe_false_positive(address)
+        bulk.prewarm_train(ops)
+        SupplierPredictor.prewarm_train(replayed, ops)
+        assert bulk.prewarm_snapshot() == replayed.prewarm_snapshot()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.workloads.profiles import (
@@ -17,6 +18,7 @@ from repro.workloads.synthetic import (
     SharingProfile,
     generate_workload,
     scramble,
+    scramble_array,
 )
 from repro.workloads.trace import Access, WorkloadTrace
 
@@ -82,6 +84,17 @@ def test_scramble_spreads_low_bits():
     # structure (this is what defeats systematic Bloom aliasing).
     low_bits = {scramble(i) & 0x3FF for i in range(1024)}
     assert len(low_bits) > 600
+
+
+def test_scramble_array_matches_scalar():
+    edges = [0, 2**36 - 1, 2**63, 2**64 - 1]
+    sample = np.random.default_rng(5).integers(
+        0, 2**64 - 1, size=2000, dtype=np.uint64, endpoint=True
+    )
+    logical = edges + sample.tolist()
+    physical = scramble_array(np.array(logical, dtype=np.uint64)).tolist()
+    assert physical == [scramble(value) for value in logical]
+    assert all(type(value) is int for value in physical)
 
 
 # ----------------------------------------------------------------------
