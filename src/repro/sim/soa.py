@@ -1490,6 +1490,12 @@ class SoaRingMultiprocessor:
         stats.events_fired = processed
         self.link_busy_cycles = link_busy_cycles
         self.port_wait_cycles = port_wait_cycles
+        if has_pred_table and kind == "exact":
+            # The run-phase handlers close over this frame's cache
+            # state and the predictors themselves: dropping them lets
+            # reference counting free a finished machine.
+            for predictor in predictors:
+                predictor.set_downgrade_callback(None)  # type: ignore[attr-defined]
 
         if counted:
             # Counted policy output (e.g. hybrid aggressive_choices,

@@ -13,6 +13,7 @@ from repro.coherence.protocol import CoherenceError
 from repro.coherence.cache import CacheLine
 from repro.coherence.states import LineState
 from repro.core.algorithms import build_algorithm
+from repro.registry import REGISTRY
 from repro.sim.system import RingMultiprocessor
 from repro.workloads.profiles import build_workload
 from repro.workloads.trace import Access, WorkloadTrace
@@ -174,17 +175,23 @@ def test_invariant_checker_reports_incompatible_states():
 
 
 @pytest.mark.parametrize(
-    "algorithm,overrides",
+    "core,algorithm,overrides",
     [
-        ("exact", {"check_invariants": True}),
-        ("superset_con", {"filter_write_snoops": True}),
-        ("lazy", {"tracing": TraceConfig(enabled=True, sample_window=200)}),
+        ("object", "exact", {"check_invariants": True}),
+        ("object", "superset_con", {"filter_write_snoops": True}),
+        (
+            "object",
+            "lazy",
+            {"tracing": TraceConfig(enabled=True, sample_window=200)},
+        ),
+        ("soa", "exact", {}),
     ],
 )
-def test_run_machine_is_freed_by_reference_counting(algorithm, overrides):
+def test_run_machine_is_freed_by_reference_counting(core, algorithm, overrides):
     """A finished machine holds no reference cycle: with the cyclic
-    collector off, dropping the last reference frees it, and what a
-    caller reads after the run stays readable until then."""
+    collector off, dropping the last reference frees it and its
+    predictors, and what a caller reads after the run stays readable
+    until then."""
     workload = build_workload("splash2", 60, num_cmps=4)
     machine = default_machine(
         algorithm=algorithm,
@@ -196,18 +203,27 @@ def test_run_machine_is_freed_by_reference_counting(algorithm, overrides):
     gc.collect()
     gc.disable()
     try:
-        system = RingMultiprocessor(
-            machine, build_algorithm(algorithm), workload, warmup_fraction=0.2
+        system = REGISTRY.create(
+            "core",
+            core,
+            machine,
+            build_algorithm(algorithm),
+            workload,
+            warmup_fraction=0.2,
         )
         result = system.run()
-        assert system.stats is result.stats
-        assert system.nodes[0].caches[0].fills > 0
-        if algorithm == "exact":
-            assert system.datapath._downgraded
-        if system.timeline is not None:
-            assert system.timeline.samples
-        machine_ref = weakref.ref(system)
-        del system
-        assert machine_ref() is None
+        if core == "object":
+            assert system.stats is result.stats
+            assert system.nodes[0].caches[0].fills > 0
+            if algorithm == "exact":
+                assert system.datapath._downgraded
+            if system.timeline is not None:
+                assert system.timeline.samples
+            predictor = system.nodes[0].predictor
+        else:
+            predictor = system._predictors[0]
+        refs = [weakref.ref(system), weakref.ref(predictor)]
+        del system, predictor
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
