@@ -22,8 +22,6 @@ Examples::
     flexsnoop cache prune --max-size 256M
     flexsnoop cache clear
     flexsnoop profile --algorithm exact --workload specweb --top 20
-    flexsnoop bench --out BENCH_02.json
-    flexsnoop bench --check BENCH_02.json
 
 Matrix commands (``figure``, ``report``) fan independent simulations
 out over worker processes (``--jobs``, default: one per CPU) and
@@ -794,6 +792,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
+    from repro.harness.bench import format_breakdown, subsystem_split
+
     profiler = cProfile.Profile()
     profiler.enable()
     result = run_experiment(
@@ -815,81 +815,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.top)
+    print(format_breakdown(subsystem_split(stats)))
     if args.out:
         stats.dump_stats(args.out)
         print("wrote %s (open with pstats or snakeviz)" % args.out)
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.bench import (
-        DEFAULT_BENCH_SCALE,
-        DEFAULT_TOLERANCE,
-        check_regression,
-        format_breakdown,
-        load_snapshot,
-        measure_breakdown,
-        run_snapshot,
-        write_snapshot,
-    )
-
-    scale = args.scale if args.scale is not None else DEFAULT_BENCH_SCALE
-    tolerance = (
-        args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    )
-    if args.breakdown:
-        buckets = measure_breakdown(
-            accesses_per_core=scale,
-            seed=args.seed,
-            core=args.core,
-            topology=args.topology,
-        )
-        print(format_breakdown(buckets))
-        return 0
-    snapshot = run_snapshot(
-        trials=args.trials,
-        accesses_per_core=scale,
-        seed=args.seed,
-        core=args.core,
-        topology=args.topology,
-    )
-    print("core          : %s" % snapshot.core)
-    print("topology      : %s" % snapshot.topology)
-    print("matrix wall   : %.3f s" % snapshot.matrix_wall_s)
-    print("accesses/sec  : %.1f" % snapshot.accesses_per_sec)
-    print("events/sec    : %.1f" % snapshot.events_per_sec)
-    if snapshot.env:
-        print(
-            "environment   : %s, %s cpu(s), python %s"
-            % (
-                snapshot.env.get("cpu_model"),
-                snapshot.env.get("cpu_count"),
-                snapshot.env.get("python"),
-            )
-        )
-    if args.out:
-        write_snapshot(snapshot, args.out)
-        print("wrote %s" % args.out)
-    if args.check:
-        import os
-
-        if not os.path.exists(args.check):
-            print("no baseline at %s; skipping regression check"
-                  % args.check)
-            return 0
-        try:
-            baseline = load_snapshot(args.check)
-        except (ValueError, KeyError, TypeError) as exc:
-            print(
-                "corrupt baseline snapshot %s: %s" % (args.check, exc),
-                file=sys.stderr,
-            )
-            return 1
-        try:
-            print(check_regression(snapshot, baseline, tolerance))
-        except RuntimeError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
     return 0
 
 
@@ -1051,7 +980,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile_parser = sub.add_parser(
         "profile",
-        help="run one simulation under cProfile and print hot spots",
+        help="run one simulation under cProfile and print hot spots "
+        "and the per-subsystem split",
     )
     _add_component_options(profile_parser, "exact", "specweb")
     profile_parser.add_argument("--scale", type=int, default=2000,
@@ -1068,35 +998,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="", help="also dump raw pstats data here"
     )
     profile_parser.set_defaults(func=_cmd_profile)
-
-    bench_parser = sub.add_parser(
-        "bench",
-        help="measure serial matrix throughput (the BENCH_*.json "
-        "snapshot) and optionally check it against a baseline",
-    )
-    bench_parser.add_argument(
-        "--scale", type=int, default=None,
-        help="accesses per core (default: the committed snapshot scale)",
-    )
-    bench_parser.add_argument("--seed", type=int, default=0)
-    bench_parser.add_argument("--trials", type=int, default=3,
-                              help="keep the best of this many runs")
-    bench_parser.add_argument("--out", default="",
-                              help="write the snapshot JSON here")
-    bench_parser.add_argument(
-        "--check", default="",
-        help="compare against this committed snapshot; exits 1 on a "
-        "regression beyond --tolerance, 0 if the file is absent",
-    )
-    bench_parser.add_argument("--tolerance", type=float, default=None)
-    _add_core_option(bench_parser)
-    _add_topology_option(bench_parser)
-    bench_parser.add_argument(
-        "--breakdown", action="store_true",
-        help="profile one matrix run and print per-subsystem time "
-        "(walker/datapath/predictor/engine) instead of a snapshot",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
 
     trace_parser = sub.add_parser(
         "trace",

@@ -26,7 +26,8 @@ and plugins can add more (entry-point group ``flexsnoop.sinks``).
 
 Performance contract: with tracing off the subsystems never construct
 a :class:`TraceEvent`; the only residual cost is the ``is not None``
-guard, which the bench gate bounds at <=3%.
+guard (target <=3%), which every untraced leg of the end-to-end
+benchmark in ``benchmarks/e2e`` pays.
 """
 
 from __future__ import annotations

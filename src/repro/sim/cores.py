@@ -2,8 +2,8 @@
 
 A *core* is the engine that actually advances a configured machine
 over a workload: construction signature
-``(config, algorithm, workload, *, collect_perfect, warmup_fraction,
-trace_sink)`` and a single ``run()`` returning a
+``(config, algorithm, workload, *, warmup_fraction, trace_sink)`` and
+a single ``run()`` returning a
 :class:`~repro.sim.system.SimulationResult`.  Two implementations are
 registered:
 

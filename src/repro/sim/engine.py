@@ -247,6 +247,12 @@ class EventEngine:
             callback()
         return processed
 
+    def clear(self) -> None:
+        """Drop every pending event: a stopped run's leftovers, whose
+        callbacks close over the machine."""
+        self._heap.clear()
+        self._cancelled_in_heap = 0
+
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued; O(1)."""

@@ -220,7 +220,6 @@ class SoaRingMultiprocessor:
         config: MachineConfig,
         algorithm: SnoopingAlgorithm,
         workload: object,
-        collect_perfect: bool = True,
         warmup_fraction: float = 0.0,
         trace_sink: object = None,
     ) -> None:
@@ -247,7 +246,6 @@ class SoaRingMultiprocessor:
         # must charge lookup latency/energy like the object core does.
         algorithm.bind_predictor_kind(config.predictor.kind)
         self.source = source
-        self.collect_perfect = collect_perfect
         self.warmup_fraction = warmup_fraction
 
         num_cmps = config.num_cmps
@@ -325,12 +323,24 @@ class SoaRingMultiprocessor:
     # The fused run loop
 
     def run(self, max_events: Optional[int] = None) -> SimulationResult:
-        """Replay the workload to completion; one function frame holds
-        the event heap, all machine state and every counter."""
+        """Replay the workload to completion."""
         if self._ran:
             raise RuntimeError("a SoaRingMultiprocessor can only run once")
         self._ran = True
+        try:
+            return self._run_loop(max_events)
+        finally:
+            if self.config.predictor.kind == "exact":
+                # The run-phase handlers close over the loop's cache
+                # state and the predictors themselves: dropping them
+                # lets reference counting free the machine, whether
+                # its run finished or stopped.
+                for predictor in self._predictors:
+                    predictor.set_downgrade_callback(None)  # type: ignore[attr-defined]
 
+    def _run_loop(self, max_events: Optional[int]) -> SimulationResult:
+        """The fused loop: one function frame holds the event heap, all
+        machine state and every counter."""
         config = self.config
         algorithm = self.algorithm
         source = self.source
@@ -361,7 +371,6 @@ class SoaRingMultiprocessor:
         cost_snoop = config.energy.cmp_snoop
         cost_dop = config.energy.downgrade_cache_access
         cost_dmem = config.energy.memory_line_access
-        collect_perfect = self.collect_perfect
 
         # Topology tables hoisted for the fused loop: successor of each
         # node, outbound per-segment latency, inbound (entry) latency,
@@ -930,11 +939,7 @@ class SoaRingMultiprocessor:
                         supplier_here = (
                             entry is not None and entry[0] == node_id
                         )
-                        if (
-                            collect_perfect
-                            and not txn[_T_SATR]
-                            and not txn[_T_SAT]
-                        ):
+                        if not txn[_T_SATR] and not txn[_T_SAT]:
                             if supplier_here:
                                 p_tp += 1
                             else:
@@ -1490,12 +1495,6 @@ class SoaRingMultiprocessor:
         stats.events_fired = processed
         self.link_busy_cycles = link_busy_cycles
         self.port_wait_cycles = port_wait_cycles
-        if has_pred_table and kind == "exact":
-            # The run-phase handlers close over this frame's cache
-            # state and the predictors themselves: dropping them lets
-            # reference counting free a finished machine.
-            for predictor in predictors:
-                predictor.set_downgrade_callback(None)  # type: ignore[attr-defined]
 
         if counted:
             # Counted policy output (e.g. hybrid aggressive_choices,

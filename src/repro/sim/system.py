@@ -173,7 +173,6 @@ class RingMultiprocessor:
         config: MachineConfig,
         algorithm: SnoopingAlgorithm,
         workload: "Union[WorkloadTrace, WorkloadSource, SharingProfile]",
-        collect_perfect: bool = True,
         warmup_fraction: float = 0.0,
         trace_sink: Optional[TraceSink] = None,
     ) -> None:
@@ -203,13 +202,6 @@ class RingMultiprocessor:
         # predictor override rather than the class default.
         algorithm.bind_predictor_kind(config.predictor.kind)
         self.source = source
-        # Back-compat attribute: the materialized trace when one is
-        # available without breaking the streaming contract, else the
-        # source itself (both expose ``.name``).
-        self.workload = (
-            source if source.streaming else source.materialize()
-        )
-        self.collect_perfect = collect_perfect
 
         # Observability: a sink passed explicitly wins; otherwise one
         # is resolved through the registry when config.tracing asks
@@ -222,12 +214,8 @@ class RingMultiprocessor:
         self.engine = EventEngine()
         # The snoop topology is a registry component (kind "topology",
         # selected by config.topology.kind); it owns the walk order,
-        # the per-segment latencies and the data network.  ``ring``
-        # and ``torus`` stay as aliases for callers that predate the
-        # topology seam (both roles live on the one topology object).
+        # the per-segment latencies and the data network.
         self.topology = build_topology(config)
-        self.ring = self.topology
-        self.torus = self.topology
         self.memory = MainMemory(config.memory, config.num_cmps)
         self.stats = RunStats()
         self.energy = EnergyModel(config.energy, config.predictor.kind)
@@ -288,7 +276,6 @@ class RingMultiprocessor:
             algorithm,
             self._supplier_of,
             self.presence,
-            collect_perfect,
             trace=self.trace,
         )
         self.datapath = DataPathModel(
@@ -365,14 +352,15 @@ class RingMultiprocessor:
         if self._ran:
             raise RuntimeError("a RingMultiprocessor can only run once")
         self._ran = True
-        self.txns.start()
-        if self.timeline is not None:
-            self.timeline.start()
         try:
+            self.txns.start()
+            if self.timeline is not None:
+                self.timeline.start()
             self.engine.run(max_events=max_events)
         finally:
             if self.trace is not None:
                 self.trace.close()
+            self._unwire()
         self._finalize_energy()
         self.stats.core_finish_times = [
             core.finish_time if core.finish_time is not None else -1
@@ -392,7 +380,6 @@ class RingMultiprocessor:
         self.stats.hops_batched = self.walker.hops_batched
         self.stats.messages_allocated = self.txns.messages_allocated
         self.stats.messages_reused = self.txns.messages_reused
-        self._unwire()
         return SimulationResult(
             algorithm=self.algorithm.name,
             workload=self.source.name,
@@ -405,12 +392,14 @@ class RingMultiprocessor:
 
     def _unwire(self) -> None:
         """Cut the links that make a machine a reference cycle, once it
-        has run: the subsystems' links to each other and to the facade,
-        Exact's downgrade handlers (which close over the datapath) and
-        the timeline's link to the facade.  Dropping the last reference
-        to a finished machine then frees it without the cyclic
-        collector.  Its state stays readable (``nodes``, ``stats``,
+        has run or stopped: the pending events of a stopped run, the
+        subsystems' links to each other and to the facade, Exact's
+        downgrade handlers (which close over the datapath) and the
+        timeline's link to the facade.  Dropping the last reference to
+        the machine then frees it without the cyclic collector.  Its
+        state stays readable (``nodes``, ``stats``,
         ``datapath._downgraded``, ``timeline.samples``, ...)."""
+        self.engine.clear()
         for node in self.nodes:
             if node.is_exact:
                 node.predictor.set_downgrade_callback(None)

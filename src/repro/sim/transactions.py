@@ -207,11 +207,15 @@ class TransactionManager:
         self._in_warmup = warmup.in_warmup
 
     def unwire(self) -> None:
-        """Drop the links :meth:`wire` made, and the per-core issue
-        callbacks that close over this manager, once the machine has
-        run."""
+        """Drop the links :meth:`wire` made, the per-core issue
+        callbacks that close over this manager, and the step callbacks
+        of transactions a stopped run left in flight, once the machine
+        has run."""
         del self._walker, self._datapath, self._warmup, self._system
         self._issue_cbs = []
+        for txns in self._active.values():
+            for txn in txns:
+                txn.step_cb = _noop
 
     def on_warmup_end(self, stats: "RunStats") -> None:
         """Warmup reset notification: measurement restarts on ``stats``."""

@@ -28,8 +28,9 @@ hoisted from the algorithm and machine config.
 Performance contract: the walk schedules no per-hop closures (the
 transaction carries one prebound callback) and batches pass-through
 hops into a single engine event whenever that is behaviourally
-invisible - both invariants are guarded by
-``tests/golden/test_golden_equivalence.py`` and ``flexsnoop bench``.
+invisible - ``tests/golden/test_golden_equivalence.py`` guards the
+invisibility and the end-to-end benchmark in ``benchmarks/e2e`` the
+speed.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ class RingWalker:
         algorithm: "SnoopingAlgorithm",
         supplier_of: Dict[int, Tuple[int, int]],
         presence: List["PresencePredictor"],
-        collect_perfect: bool,
         trace: Optional[TraceSink] = None,
     ) -> None:
         self.engine = engine
@@ -85,7 +85,6 @@ class RingWalker:
         self.nodes = nodes
         self.algorithm = algorithm
         self.presence = presence
-        self.collect_perfect = collect_perfect
         self._supplier_of = supplier_of
         # Observability: None when tracing is off, so every emission
         # site below costs one attribute load plus an identity test.
@@ -462,11 +461,7 @@ class RingWalker:
         entry = self._supplier_of.get(address)
         supplier_here = entry is not None and entry[0] == node_id
 
-        if (
-            self.collect_perfect
-            and not msg.satisfied_reply
-            and not msg.satisfied
-        ):
+        if not msg.satisfied_reply and not msg.satisfied:
             # The paper's "perfect predictor" is checked at every node
             # until the request finds the supplier.
             self.stats.perfect_accuracy.record(supplier_here, supplier_here)

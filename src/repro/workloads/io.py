@@ -19,9 +19,9 @@ the line size).  A core's accesses are split across *chunk* records
 (:data:`DEFAULT_CHUNK_ACCESSES` each) so readers never need one giant
 line per core: :func:`scan_trace` indexes the chunk offsets in one
 bounded-memory pass and :func:`iter_core_accesses` replays a core by
-seeking chunk to chunk.  The header's ``total_accesses`` makes
-truncation detectable.  Version 1 files (one combined record per
-core, no totals) remain fully readable.
+seeking chunk to chunk.  The header's ``total_accesses`` is
+required, so truncation is always detected.  Any other version
+(including v1, one combined record per core) is rejected.
 
 All malformed-input errors are :class:`TraceFormatError` and carry
 ``path:line`` positions.
@@ -39,7 +39,7 @@ from repro.workloads.trace import Access, WorkloadTrace
 
 FORMAT_NAME = "flexsnoop-trace"
 FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
+SUPPORTED_VERSIONS = (2,)
 
 #: Accesses per chunk record written by :func:`save_trace`.
 DEFAULT_CHUNK_ACCESSES = 4096
@@ -110,7 +110,7 @@ def _parse_header(path: object, raw: bytes) -> Dict[str, Any]:
             "unsupported trace version %r (supported: %s)"
             % (version, ", ".join(str(v) for v in SUPPORTED_VERSIONS)),
         )
-    for key in ("name", "cores_per_cmp", "num_cores"):
+    for key in ("name", "cores_per_cmp", "num_cores", "total_accesses"):
         if key not in header:
             raise _error(path, 1, "header is missing %r" % key)
     num_cores = header["num_cores"]
@@ -183,7 +183,6 @@ class TraceScan:
     """
 
     path: str
-    version: int
     name: str
     cores_per_cmp: int
     num_cores: int
@@ -197,7 +196,7 @@ def scan_trace(path: Union[str, Path]) -> TraceScan:
     """Index a trace file in one bounded-memory pass.
 
     Validates the header and every record's shape, counts accesses
-    per core (checking the v2 header total), collects the prewarm
+    per core (checking the header total), collects the prewarm
     lists and hashes the raw bytes.  Per-access values are validated
     lazily during replay; the scan only touches record structure, so
     it stays cheap relative to simulation.
@@ -247,8 +246,8 @@ def scan_trace(path: Union[str, Path]) -> TraceScan:
                 saw_prewarm = True
                 prewarm[core].extend(lines)
             offset += len(raw)
-    declared = header.get("total_accesses")
-    if declared is not None and declared != counted:
+    declared = header["total_accesses"]
+    if declared != counted:
         raise _error(
             path_str,
             lineno,
@@ -257,7 +256,6 @@ def scan_trace(path: Union[str, Path]) -> TraceScan:
         )
     return TraceScan(
         path=path_str,
-        version=header["version"],
         name=header["name"],
         cores_per_cmp=header["cores_per_cmp"],
         num_cores=num_cores,
@@ -298,7 +296,7 @@ def read_header(path: Union[str, Path]) -> Dict[str, Any]:
 
 
 def load_trace(path: Union[str, Path]) -> WorkloadTrace:
-    """Read a workload trace written by :func:`save_trace` (v1 or v2).
+    """Read a workload trace written by :func:`save_trace`.
 
     Streams record by record, validating incrementally - a malformed
     line raises a ``path:line``-positioned :class:`TraceFormatError`
@@ -339,8 +337,8 @@ def load_trace(path: Union[str, Path]) -> WorkloadTrace:
                     )
                 saw_prewarm = True
                 prewarm[core].extend(lines)
-    declared = header.get("total_accesses")
-    if declared is not None and declared != counted:
+    declared = header["total_accesses"]
+    if declared != counted:
         raise _error(
             path_str,
             lineno,

@@ -18,7 +18,7 @@ Three built-in sources cover the pipeline:
   deferred until the first consumer asks.  Descriptor: the profile's
   full field dict (generation is deterministic given the profile).
 * :class:`FileReplaySource` - streams a ``flexsnoop-trace`` JSONL file
-  (v1 or v2) from disk in bounded memory.  Descriptor: the file's
+  (v2) from disk in bounded memory.  Descriptor: the file's
   SHA-256, so two copies of the same trace share cache entries.
 * :class:`TraceSource` - wraps an already-materialized trace object
   (the pre-existing API).  No stable descriptor by default: identity

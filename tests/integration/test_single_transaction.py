@@ -60,7 +60,7 @@ def plant_supplier(system, node_id: int, state=LineState.E,
 
 
 def data_latency(system, src: int, dst: int) -> int:
-    return system.torus.transfer_latency(src, dst)
+    return system.topology.transfer_latency(src, dst)
 
 
 # ----------------------------------------------------------------------

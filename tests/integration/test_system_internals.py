@@ -111,7 +111,7 @@ def test_ring_assignment_balances_addresses():
 
     counts = [0, 0]
     for logical in range(2000):
-        counts[system.ring.ring_of(scramble(logical))] += 1
+        counts[system.topology.ring_of(scramble(logical))] += 1
     assert abs(counts[0] - counts[1]) < 0.15 * sum(counts)
 
 
@@ -185,13 +185,18 @@ def test_invariant_checker_reports_incompatible_states():
             {"tracing": TraceConfig(enabled=True, sample_window=200)},
         ),
         ("soa", "exact", {}),
+        # Runs stopped by max_events, which end in RuntimeError.
+        ("object", "exact", {"max_events": 2000}),
+        ("soa", "exact", {"max_events": 2000}),
     ],
 )
 def test_run_machine_is_freed_by_reference_counting(core, algorithm, overrides):
-    """A finished machine holds no reference cycle: with the cyclic
-    collector off, dropping the last reference frees it and its
-    predictors, and what a caller reads after the run stays readable
-    until then."""
+    """A run machine holds no reference cycle, whether its run finished
+    or stopped early: with the cyclic collector off, dropping the last
+    reference frees it and its predictors, and what a caller reads
+    after a finished run stays readable until then."""
+    overrides = dict(overrides)
+    max_events = overrides.pop("max_events", None)
     workload = build_workload("splash2", 60, num_cmps=4)
     machine = default_machine(
         algorithm=algorithm,
@@ -211,14 +216,19 @@ def test_run_machine_is_freed_by_reference_counting(core, algorithm, overrides):
             workload,
             warmup_fraction=0.2,
         )
-        result = system.run()
+        if max_events is not None:
+            with pytest.raises(RuntimeError, match="unfinished cores"):
+                system.run(max_events=max_events)
+        else:
+            result = system.run()
+            if core == "object":
+                assert system.stats is result.stats
+                assert system.nodes[0].caches[0].fills > 0
+                if algorithm == "exact":
+                    assert system.datapath._downgraded
+                if system.timeline is not None:
+                    assert system.timeline.samples
         if core == "object":
-            assert system.stats is result.stats
-            assert system.nodes[0].caches[0].fills > 0
-            if algorithm == "exact":
-                assert system.datapath._downgraded
-            if system.timeline is not None:
-                assert system.timeline.samples
             predictor = system.nodes[0].predictor
         else:
             predictor = system._predictors[0]

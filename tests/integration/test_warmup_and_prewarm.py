@@ -100,9 +100,9 @@ def test_invalid_warmup_fraction_rejected():
 
 def test_prewarm_installs_exclusive_lines():
     system = build(prewarm_fraction=1.0)
-    workload = system.workload
-    assert workload.prewarm
-    for core, lines in zip(system.cores, workload.prewarm):
+    prewarm = system.source.prewarm()
+    assert prewarm
+    for core, lines in zip(system.cores, prewarm):
         cache = system.nodes[core.cmp_id].caches[core.local_id]
         resident = [a for a in lines if a in cache]
         # Set conflicts may evict a few prewarmed lines; the bulk must

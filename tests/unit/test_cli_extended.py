@@ -236,45 +236,15 @@ def test_cli_unknown_component_exits_2(argv, kind, known_sample, capsys):
     assert "known:" in err and known_sample in err
 
 
-def test_cli_bench_check_missing_snapshot_skips(tmp_path, capsys):
-    code = main(
-        [
-            "bench",
-            "--scale", "20",
-            "--trials", "1",
-            "--check", str(tmp_path / "absent.json"),
-        ]
-    )
-    assert code == 0
-    assert "skipping regression check" in capsys.readouterr().out
-
-
-def test_cli_bench_check_corrupt_snapshot_fails(tmp_path, capsys):
-    corrupt = tmp_path / "corrupt.json"
-    corrupt.write_text("{not json")
-    code = main(
-        [
-            "bench",
-            "--scale", "20",
-            "--trials", "1",
-            "--check", str(corrupt),
-        ]
-    )
-    assert code == 1
-    assert "corrupt baseline snapshot" in capsys.readouterr().err
-
-    # Valid JSON with the wrong shape is also a corrupt baseline.
-    corrupt.write_text('{"pr": 99}')
-    code = main(
-        [
-            "bench",
-            "--scale", "20",
-            "--trials", "1",
-            "--check", str(corrupt),
-        ]
-    )
-    assert code == 1
-    assert "corrupt baseline snapshot" in capsys.readouterr().err
+def test_cli_profile_prints_hot_spots_and_subsystem_split(capsys):
+    assert main(["profile", "--scale", "20", "--top", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "profiled exact/" in out
+    assert "function calls" in out
+    head, _, split = out.partition("per-subsystem time")
+    assert "ncalls" in head
+    rows = {line.split()[0] for line in split.splitlines()[1:] if line.strip()}
+    assert {"walker", "datapath", "engine"} <= rows
 
 
 def test_cli_cache_clear_empty_store(tmp_path, monkeypatch, capsys):

@@ -99,13 +99,18 @@ def test_wrong_format_rejected(tmp_path):
 
 def test_wrong_version_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text(
-        json.dumps({"format": "flexsnoop-trace", "version": 99,
-                    "name": "x", "cores_per_cmp": 1, "num_cores": 1})
-        + "\n"
-    )
-    with pytest.raises(TraceFormatError):
-        load_trace(path)
+    base = {"format": "flexsnoop-trace", "name": "x", "cores_per_cmp": 1,
+            "num_cores": 1}
+    headers = [
+        (dict(base, version=99, total_accesses=0), "unsupported trace version"),
+        (dict(base, version=1, total_accesses=0), "unsupported trace version"),
+        # A v2 header without its total could hide a truncated file.
+        (dict(base, version=2), "missing 'total_accesses'"),
+    ]
+    for header, message in headers:
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(TraceFormatError, match=message):
+            load_trace(path)
 
 
 def test_garbage_header_rejected(tmp_path):
@@ -118,12 +123,13 @@ def test_garbage_header_rejected(tmp_path):
 def test_core_out_of_range_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     lines = [
-        json.dumps({"format": "flexsnoop-trace", "version": 1,
-                    "name": "x", "cores_per_cmp": 1, "num_cores": 1}),
+        json.dumps({"format": "flexsnoop-trace", "version": 2,
+                    "name": "x", "cores_per_cmp": 1, "num_cores": 1,
+                    "total_accesses": 0}),
         json.dumps({"core": 5, "accesses": []}),
     ]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError):
+    with pytest.raises(TraceFormatError, match="out of range"):
         load_trace(path)
 
 
@@ -138,29 +144,6 @@ def test_named_workload_roundtrip(tmp_path):
 
 # ----------------------------------------------------------------------
 # Format v2: chunked records, streaming scan/replay
-
-
-def v1_file(tmp_path, traces, prewarm=None, cores_per_cmp=1):
-    """Hand-write a version-1 file (one combined record per core)."""
-    lines = [
-        json.dumps({
-            "format": "flexsnoop-trace", "version": 1, "name": "v1",
-            "cores_per_cmp": cores_per_cmp, "num_cores": len(traces),
-        })
-    ]
-    for core, accesses in enumerate(traces):
-        lines.append(json.dumps({
-            "core": core,
-            "accesses": [
-                [a.address, int(a.is_write), a.think_time]
-                for a in accesses
-            ],
-        }))
-    for core, warm in enumerate(prewarm or []):
-        lines.append(json.dumps({"core": core, "prewarm": warm}))
-    path = tmp_path / "v1.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 def test_save_trace_writes_v2_chunks(tmp_path):
@@ -178,30 +161,6 @@ def test_save_trace_writes_v2_chunks(tmp_path):
     # 100 accesses per core at chunk 16 -> 7 chunks per core.
     assert len(access_records) == workload.num_cores * 7
     assert all(len(r["accesses"]) <= 16 for r in access_records)
-
-
-def test_v1_file_still_loads(tmp_path):
-    traces = [[Access(1, False, 2), Access(3, True, 0)],
-              [Access(2, True, 1)]]
-    prewarm = [[1, 3], [2]]
-    path = v1_file(tmp_path, traces, prewarm)
-    loaded = load_trace(path)
-    assert loaded.traces == traces
-    assert loaded.prewarm == prewarm
-
-
-def test_v1_file_scans_and_streams(tmp_path):
-    from repro.workloads.io import iter_core_accesses, scan_trace
-
-    traces = [[Access(1, False, 2), Access(3, True, 0)],
-              [Access(2, True, 1)]]
-    path = v1_file(tmp_path, traces, [[7], []])
-    scan = scan_trace(path)
-    assert scan.version == 1
-    assert scan.total_accesses == 3
-    assert scan.prewarm == [[7], []]
-    assert list(iter_core_accesses(scan, 0)) == traces[0]
-    assert list(iter_core_accesses(scan, 1)) == traces[1]
 
 
 def test_scan_matches_load(tmp_path):
