@@ -358,9 +358,9 @@ class RingMultiprocessor:
                 self.timeline.start()
             self.engine.run(max_events=max_events)
         finally:
+            self._unwire()
             if self.trace is not None:
                 self.trace.close()
-            self._unwire()
         self._finalize_energy()
         self.stats.core_finish_times = [
             core.finish_time if core.finish_time is not None else -1
