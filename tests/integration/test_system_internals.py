@@ -185,7 +185,8 @@ def test_invariant_checker_reports_incompatible_states():
             {"tracing": TraceConfig(enabled=True, sample_window=200)},
         ),
         ("soa", "exact", {}),
-        # Runs stopped by max_events, which end in RuntimeError.
+        # Runs stopped by max_events (a run argument, popped before the
+        # machine is built), which end in RuntimeError.
         ("object", "exact", {"max_events": 2000}),
         ("soa", "exact", {"max_events": 2000}),
     ],
