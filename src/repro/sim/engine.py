@@ -249,7 +249,11 @@ class EventEngine:
 
     def clear(self) -> None:
         """Drop every pending event: a stopped run's leftovers, whose
-        callbacks close over the machine."""
+        callbacks close over the machine.  Their handles are detached,
+        so cancelling one afterwards leaves ``pending`` exact."""
+        for entry in self._heap:
+            if entry[2] is not None:
+                entry[2]._engine = None
         self._heap.clear()
         self._cancelled_in_heap = 0
 

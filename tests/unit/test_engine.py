@@ -263,3 +263,37 @@ def test_call_every_rejects_nonpositive_interval():
         engine.call_every(0, lambda: None)
     with pytest.raises(ValueError):
         engine.call_every(-5, lambda: None)
+
+
+def test_clear_drops_pending_events():
+    engine = EventEngine()
+    fired = []
+    engine.schedule(5, lambda: fired.append("handle"))
+    engine.call_after(3, lambda: fired.append("bare"))
+    engine.schedule(7, lambda: None).cancel()
+    engine.run(max_events=1)  # a stopped run: two events left queued
+    assert fired == ["bare"] and engine.pending == 1
+    engine.clear()
+    assert engine.pending == 0
+    assert engine.peek_time() is None
+    assert engine.run() == 0
+    assert fired == ["bare"]
+    # The clock stays where the stopped run left it, and the engine
+    # still takes new work.
+    assert engine.now == 3
+    engine.schedule(2, lambda: fired.append("after"))
+    assert engine.run() == 1
+    assert fired == ["bare", "after"] and engine.now == 5
+
+
+def test_cancel_after_clear_keeps_pending_exact():
+    engine = EventEngine()
+    stale = [engine.schedule(i + 1, lambda: None) for i in range(3)]
+    engine.clear()
+    for event in stale:
+        event.cancel()
+    assert engine.pending == 0
+    live = engine.schedule(1, lambda: None)
+    assert engine.pending == 1
+    live.cancel()
+    assert engine.pending == 0
