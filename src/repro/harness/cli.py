@@ -12,7 +12,7 @@ Examples::
     flexsnoop trace record --algorithm subset --workload specjbb \
         --out jbb-trace.jsonl --audit
     flexsnoop trace record --algorithm lazy --workload file:jbb.jsonl \
-        --out run.jsonl --sink jsonl
+        --out run.jsonl
     flexsnoop trace show jbb-trace.jsonl --address 0x2a40 --limit 5
     flexsnoop trace audit jbb-trace.jsonl
     flexsnoop trace workload --workload specjbb --out jbb.jsonl
@@ -566,42 +566,16 @@ def _print_violations(violations) -> None:
         print("  %s" % violation, file=sys.stderr)
 
 
-def _policy_auditor_kwargs(algorithm_name) -> dict:
-    """Policy-guarantee auditor arguments for a named algorithm.
-
-    Resolves the algorithm's static decision table and write-snoop
-    form so the auditor also checks the trace against the policy's
-    declared behaviour.  Unknown names (e.g. a trace recorded with a
-    plugin that is not installed here) degrade to the policy-agnostic
-    lifecycle checks.
-    """
-    from repro.core.algorithms import build_algorithm
-
-    if not algorithm_name:
-        return {}
-    try:
-        policy = build_algorithm(algorithm_name)
-    except UnknownComponentError:
-        return {}
-    return {
-        "table": policy.decision_table(),
-        "decouple_writes": policy.decouple_writes,
-    }
-
-
 def _cmd_trace_record(args: argparse.Namespace) -> int:
-    from repro.obs.audit import TraceAuditor
-    from repro.obs.jsonl import read_trace, write_trace
     from repro.obs.runner import run_traced
+    from repro.obs.trace import JsonlStreamSink
 
-    sink_spec = args.sink
-    if sink_spec == "jsonl":
-        # Bare "jsonl" streams to --out directly.
-        sink_spec = "jsonl:" + args.out
-    streamed = sink_spec != "memory"
-    out_path = args.out
-    if streamed:
-        out_path = sink_spec.partition(":")[2] or args.out
+    # Opened before the run: an unwritable --out fails fast.
+    try:
+        sink = JsonlStreamSink(args.out)
+    except OSError as exc:
+        print("flexsnoop: %s" % exc, file=sys.stderr)
+        return 1
     traced = run_traced(
         args.algorithm,
         args.workload,
@@ -611,49 +585,27 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         warmup_fraction=args.warmup,
         check_invariants=args.check_invariants,
         sample_window=args.sample_window,
-        sink=sink_spec,
+        sink=sink,
         topology=args.topology,
         num_cmps=_resolved_num_cmps(args),
+        audit=args.audit,
     )
-    if streamed:
-        # Events went straight to disk during the run; nothing is
-        # buffered here, so long runs record in constant memory.
-        events = None
-        print(
-            "wrote %s: %d event(s) (streamed)"
-            % (out_path, traced.meta["num_events"])
-        )
-    else:
-        events = traced.events
-        write_trace(out_path, events, meta=traced.meta)
-        transactions = len({e.txn for e in events if e.txn >= 0})
-        print(
-            "wrote %s: %d event(s) across %d transaction(s)"
-            % (out_path, len(events), transactions)
-        )
+    print(
+        "wrote %s: %d event(s) across %d transaction(s)"
+        % (args.out, traced.meta["num_events"], traced.transactions)
+    )
     if traced.samples:
         print("timeline: %d sample(s), window %d cycles"
               % (len(traced.samples), args.sample_window))
-    if args.audit:
-        if events is None:
-            # Audit what actually landed on disk - this also proves
-            # the streamed file reads back.
-            _meta, events = read_trace(out_path)
-        transactions = len({e.txn for e in events if e.txn >= 0})
-        auditor = TraceAuditor(
-            num_cmps=traced.meta["num_cmps"],
-            successors=traced.meta.get("successors"),
-            **_policy_auditor_kwargs(args.algorithm),
+    if traced.violations:
+        print(
+            "audit: %d violation(s)" % len(traced.violations),
+            file=sys.stderr,
         )
-        violations = auditor.audit(events)
-        if violations:
-            print(
-                "audit: %d violation(s)" % len(violations),
-                file=sys.stderr,
-            )
-            _print_violations(violations)
-            return 1
-        print("audit: ok (%d transaction(s) validated)" % transactions)
+        _print_violations(traced.violations)
+        return 1
+    if traced.violations is not None:
+        print("audit: ok (%d transaction(s) validated)" % traced.transactions)
     return 0
 
 
@@ -721,30 +673,31 @@ def _cmd_trace_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_audit(args: argparse.Namespace) -> int:
-    from repro.obs.audit import TraceAuditor
+    from repro.obs.audit import auditor_for
+    from repro.obs.jsonl import TraceReader
 
-    trace = _read_trace_or_report(args.file)
-    if trace is None:
+    # The file streams through the online auditor; a bad line is one
+    # ``flexsnoop:`` error, however many transactions passed before it.
+    try:
+        reader = TraceReader(args.file)
+        auditor = auditor_for(reader.meta, num_cmps=args.num_cmps)
+        feed = auditor.feed
+        events = 0
+        for event in reader:
+            feed(event)
+            events += 1
+    except (ValueError, OSError) as exc:
+        print("flexsnoop: %s" % exc, file=sys.stderr)
         return 1
-    meta, events = trace
-    num_cmps = args.num_cmps or meta.get("num_cmps") or 8
-    # Traces recorded on a non-ring topology persist their successor
-    # cycle in the header; an explicit --num-cmps override means the
-    # header geometry is being second-guessed, so ignore it then.
-    successors = None if args.num_cmps else meta.get("successors")
-    violations = TraceAuditor(
-        num_cmps=num_cmps,
-        successors=successors,
-        **_policy_auditor_kwargs(meta.get("algorithm")),
-    ).audit(events)
-    transactions = len({e.txn for e in events if e.txn >= 0})
+    transactions = auditor.transactions
+    violations = auditor.finish(reader)
     if violations:
         print("audit: %d violation(s)" % len(violations), file=sys.stderr)
         _print_violations(violations)
         return 1
     print(
         "audit: ok (%d event(s), %d transaction(s), num_cmps=%d)"
-        % (len(events), transactions, num_cmps)
+        % (events, transactions, auditor.num_cmps)
     )
     return 0
 
@@ -1027,12 +980,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="metrics-timeline sampling window in simulated cycles "
         "(0 = no timeline)",
     )
-    record_parser.add_argument("--out", required=True)
     record_parser.add_argument(
-        "--sink", default="memory",
-        help="trace sink spec (registry kind 'sink'): 'memory' "
-        "buffers then writes --out; 'jsonl' streams events to --out "
-        "in constant memory; 'jsonl:PATH' streams elsewhere",
+        "--out", required=True,
+        help="JSONL file the events stream to during the run",
     )
     record_parser.add_argument(
         "--audit", action="store_true",

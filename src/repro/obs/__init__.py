@@ -11,12 +11,13 @@ per-transaction event trace.
   (:class:`~repro.obs.trace.InMemorySink`,
   :class:`~repro.obs.trace.JsonlStreamSink`) the subsystems emit into.
 * :mod:`repro.obs.jsonl` - the on-disk JSONL format (one meta header
-  line plus one event per line).
+  line plus one event per line) and its lazy reader.
 * :mod:`repro.obs.timeline` - windowed simulated-time sampling of ring
   occupancy, snoops/request and retries into per-phase series.
 * :mod:`repro.obs.audit` - the per-transaction finite-state lifecycle
   validators (``flexsnoop trace audit``), strictly stronger than the
-  end-state-only ``_check_line_invariants``.
+  end-state-only ``_check_line_invariants``; they take a trace one
+  event at a time and hold only the transactions in flight.
 * :mod:`repro.obs.render` - event filtering and the human-readable
   per-transaction timeline rendering.
 * :mod:`repro.obs.runner` - the one-call helper that runs a traced

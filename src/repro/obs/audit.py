@@ -46,14 +46,50 @@ states after the fact); the auditor checks the *mechanism*:
   retirement never precedes the last hop.
 
 The auditor is pure (no simulator imports beyond the event types and
-the decision-table data model), so it runs equally on live
-``InMemorySink`` events and on traces read back from JSONL files.
+the decision-table data model), so it runs equally on live events and
+on traces read back from JSONL files.  :func:`auditor_for` builds the
+auditor a trace's metadata describes, resolving the policy by name.
+
+Online audit
+============
+
+:meth:`TraceAuditor.feed` takes the trace one event at a time and
+:meth:`TraceAuditor.finish` returns the violations, so an audit holds
+the transactions in flight rather than the whole trace
+(:meth:`TraceAuditor.audit` is ``feed`` for every event, then
+``finish``).  Each transaction's events are buffered until it
+*closes*: it has retired, its MSHR reissues match its waits, and, if
+it was issued squashed, it has retried.  The per-transaction rules
+then run on the buffer and the buffer is dropped; the serialization
+sweep keeps only the transactions in flight per line.  What stays
+per closed transaction is its id, in a set, so a later event for it
+is recognised.
+
+Nothing may legally follow closure, so a transaction that gets an
+event after it closed always breaks a per-transaction rule (a second
+issue, retire or retry, a reissue without a waiter, or an event after
+retirement).  :meth:`~TraceAuditor.finish` re-audits just those
+transactions from a second pass over the trace, so the verdict -
+every violation, message and order - equals a batch audit of the
+whole trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.decision import DecisionTable
 from repro.core.primitives import Primitive
@@ -107,6 +143,12 @@ class _Counts(NamedTuple):
     predictor: int
     squash: int
     retry: int
+
+
+#: A closed transaction's outcome: its violations, or the error its
+#: audit raised (re-raised by ``finish`` in transaction order, where a
+#: batch audit would have raised it).
+_Outcome = Union[List[Violation], KeyError, TypeError, ValueError]
 
 
 class TraceAuditor:
@@ -172,30 +214,126 @@ class TraceAuditor:
         alphabet = set(self._allowed_true) | set(self._allowed_false)
         self._alphabet_values = tuple(p.value for p in alphabet)
         self._alphabet_text = ", ".join(sorted(self._alphabet_values))
+        self._reset()
+
+    def _reset(self) -> None:
+        """Start a new trace."""
+        # Open transactions' events so far, by transaction id.
+        self._open: Dict[int, List[TraceEvent]] = {}
+        self._closed: Set[int] = set()
+        # Closed transactions that got another event: re-audited whole.
+        self._late: Set[int] = set()
+        # Outcomes of the audited transactions that did not come out
+        # clean, by transaction id.
+        self._found: Dict[int, _Outcome] = {}
+        # Serialization sweep: address -> {txn_id: (is_write, squashed)}
+        # for the transactions in flight on that line.
+        self._active: Dict[int, Dict[int, Tuple[bool, bool]]] = {}
+        self._serialization: List[Violation] = []
 
     def audit(self, events: Iterable[TraceEvent]) -> List[Violation]:
-        """All violations in ``events`` (empty list = clean trace)."""
-        by_txn: Dict[int, List[TraceEvent]] = {}
-        # Issues and retirements in emission order: all the
-        # serialization sweep reads.
-        lifecycle: List[TraceEvent] = []
+        """All violations in ``events`` (empty list = clean trace):
+        :meth:`feed` for every event, then :meth:`finish`.
+
+        ``events`` is read a second time only when an event arrives
+        after its transaction closed; a one-shot iterator is listed
+        first so that pass can happen.
+        """
+        if iter(events) is events:
+            events = list(events)
+        feed = self.feed
         for event in events:
-            txn = event.txn
-            if txn < 0:
-                continue  # machine events (e.g. downgrades): no FSM
-            group = by_txn.get(txn)
-            if group is None:
-                by_txn[txn] = [event]
-            else:
-                group.append(event)
-            kind = event.type
-            if kind is _ISSUE or kind is _RETIRE:
-                lifecycle.append(event)
-        violations: List[Violation] = []
-        for txn_id in sorted(by_txn):
-            violations.extend(self._audit_txn(txn_id, by_txn[txn_id]))
-        violations.extend(self._check_serialization(lifecycle))
-        return violations
+            feed(event)
+        return self.finish(events)
+
+    @property
+    def transactions(self) -> int:
+        """Distinct transaction ids fed since the trace started."""
+        return len(self._open) + len(self._closed)
+
+    def feed(self, event: TraceEvent) -> None:
+        """Take the trace's next event, in emission order."""
+        txn = event.txn
+        if txn < 0:
+            return  # machine events (e.g. downgrades): no FSM
+        kind = event.type
+        if kind is _ISSUE or kind is _RETIRE:
+            self._sweep(event)
+        events = self._open.get(txn)
+        if events is None:
+            if txn in self._closed:
+                self._late.add(txn)
+                return
+            events = self._open[txn] = [event]
+        else:
+            events.append(event)
+        # Only these kinds can close a transaction.
+        if (kind is _RETIRE or kind is _MSHR or kind is _RETRY) and _closes(
+            events
+        ):
+            del self._open[txn]
+            self._closed.add(txn)
+            self._close(txn, events)
+
+    def finish(
+        self, source: Optional[Iterable[TraceEvent]] = None
+    ) -> List[Violation]:
+        """End the trace and return every violation, in the order a
+        batch audit gives: by transaction id, then the serialization
+        sweep's in emission order.
+
+        ``source`` is the whole trace again (the event list, or a
+        :class:`~repro.obs.jsonl.TraceReader` on the file).  It is read
+        only when some transaction got an event after it closed, and
+        then only that transaction's events are kept.  Raises
+        ``ValueError`` if such a transaction exists and ``source`` is
+        ``None``.  The auditor is then ready for a new trace.
+        """
+        try:
+            for txn, events in self._open.items():
+                self._close(txn, events)
+            late: Dict[int, List[TraceEvent]] = {
+                txn: [] for txn in self._late
+            }
+            if late:
+                if source is None:
+                    raise ValueError(
+                        "%d transaction(s) got events after they closed; "
+                        "re-auditing them needs the trace again" % len(late)
+                    )
+                for event in source:
+                    group = late.get(event.txn)
+                    if group is not None:
+                        group.append(event)
+            violations: List[Violation] = []
+            for txn in sorted(self._found.keys() | late.keys()):
+                found = (
+                    self._audit_txn(txn, late[txn])
+                    if txn in late
+                    else self._found[txn]
+                )
+                if isinstance(found, Exception):
+                    raise found
+                violations.extend(found)
+            violations.extend(self._serialization)
+            return violations
+        finally:
+            self._reset()
+
+    def _close(self, txn_id: int, events: List[TraceEvent]) -> None:
+        """Run the per-transaction rules on a closed transaction.
+
+        A malformed payload (a hop without an integer ``to``) makes the
+        rules raise.  The error waits for :meth:`finish`: a later event
+        may yet make this a re-audited transaction, whose whole event
+        list a batch audit would have checked instead.
+        """
+        try:
+            found: _Outcome = self._audit_txn(txn_id, events)
+        except (KeyError, TypeError, ValueError) as exc:
+            found = exc
+        if found:
+            self._found[txn_id] = found
 
     # ------------------------------------------------------------------
     # One transaction
@@ -623,64 +761,58 @@ class TraceAuditor:
                     % (label, positions, list(range(len(queue)))),
                 )
 
-    def _check_serialization(
-        self, events: List[TraceEvent]
-    ) -> List[Violation]:
-        """Whole-trace sweep: same-address transactions serialize.
+    def _sweep(self, event: TraceEvent) -> None:
+        """Cross-transaction sweep: same-address transactions serialize.
 
-        Replays issues/retirements in emission order and checks the
-        collision rule the ring enforces (Section 2.1.4): a new
-        transaction must be squashed exactly when a non-squashed
+        Takes the trace's issues and retirements in emission order and
+        checks the collision rule the ring enforces (Section 2.1.4): a
+        new transaction must be squashed exactly when a non-squashed
         write-involving transaction on the same line is in flight, and
         concurrent non-squashed *reads* are the only legal overlap.
         """
-        out: List[Violation] = []
-        # address -> {txn_id: (is_write, squashed)} for in-flight txns
-        active: Dict[int, Dict[int, Tuple[bool, bool]]] = {}
-        for event in events:
-            if event.type is _ISSUE:
-                address = event.address
-                is_write = event.data.get("kind") == "write"
-                squashed = bool(event.data.get("squashed", False))
-                inflight = active.setdefault(address, {})
-                conflict = any(
-                    not other_squashed and (is_write or other_write)
-                    for other_write, other_squashed in inflight.values()
+        active = self._active
+        if event.type is _ISSUE:
+            address = event.address
+            is_write = event.data.get("kind") == "write"
+            squashed = bool(event.data.get("squashed", False))
+            inflight = active.setdefault(address, {})
+            conflict = any(
+                not other_squashed and (is_write or other_write)
+                for other_write, other_squashed in inflight.values()
+            )
+            if conflict and not squashed:
+                self._serialization.append(
+                    Violation(
+                        event.txn,
+                        "serialization",
+                        event.time,
+                        "non-squashed %s issued on line %#x with a "
+                        "conflicting write-involving transaction "
+                        "in flight"
+                        % (
+                            "write" if is_write else "read",
+                            address,
+                        ),
+                    )
                 )
-                if conflict and not squashed:
-                    out.append(
-                        Violation(
-                            event.txn,
-                            "serialization",
-                            event.time,
-                            "non-squashed %s issued on line %#x with a "
-                            "conflicting write-involving transaction "
-                            "in flight"
-                            % (
-                                "write" if is_write else "read",
-                                address,
-                            ),
-                        )
+            elif squashed and not conflict:
+                self._serialization.append(
+                    Violation(
+                        event.txn,
+                        "serialization",
+                        event.time,
+                        "transaction issued squashed on line %#x "
+                        "with no conflicting transaction in flight"
+                        % address,
                     )
-                elif squashed and not conflict:
-                    out.append(
-                        Violation(
-                            event.txn,
-                            "serialization",
-                            event.time,
-                            "transaction issued squashed on line %#x "
-                            "with no conflicting transaction in flight"
-                            % address,
-                        )
-                    )
-                inflight[event.txn] = (is_write, squashed)
-            elif event.type is _RETIRE:
-                inflight = active.get(event.address)
-                if inflight is not None:
-                    inflight.pop(event.txn, None)
-                    if not inflight:
-                        del active[event.address]
-        return out
+                )
+            inflight[event.txn] = (is_write, squashed)
+        else:
+            inflight = active.get(event.address)
+            if inflight is not None:
+                inflight.pop(event.txn, None)
+                if not inflight:
+                    del active[event.address]
 
     def _check_squash_discipline(
         self, squashed: bool, last: TraceEvent, counts: _Counts, flag
@@ -735,3 +867,58 @@ class TraceAuditor:
                     "expected exactly 1" % counts.fill,
                 )
 
+
+
+def _closes(events: List[TraceEvent]) -> bool:
+    """Whether nothing may legally follow ``events``: the transaction
+    has retired, its MSHR reissues match its waits, and, if its first
+    issue was squashed, it has retried."""
+    retires = waits = reissues = retries = 0
+    squashed = None
+    for event in events:
+        kind = event.type
+        if kind is _RETIRE:
+            retires += 1
+        elif kind is _MSHR:
+            phase = event.data.get("phase")
+            if phase == "wait":
+                waits += 1
+            elif phase == "reissue":
+                reissues += 1
+        elif kind is _RETRY:
+            retries += 1
+        elif kind is _ISSUE and squashed is None:
+            squashed = bool(event.data.get("squashed", False))
+    return bool(retires and waits == reissues and (retries or not squashed))
+
+
+def auditor_for(meta: Mapping[str, Any], num_cmps: int = 0) -> TraceAuditor:
+    """The auditor a trace's metadata describes.
+
+    The ring size and successor cycle come from ``meta`` (``num_cmps``
+    overrides the ring size, and then the recorded cycle is ignored:
+    the header's geometry is being second-guessed).  The policy
+    guarantees come from ``meta["algorithm"]``'s static decision table
+    and write-snoop form; an algorithm this install does not know (a
+    trace recorded with a plugin) gets the policy-agnostic checks.
+    """
+    from repro.core.algorithms import build_algorithm
+    from repro.registry import UnknownComponentError
+
+    policy: Dict[str, Any] = {}
+    name = meta.get("algorithm")
+    if name:
+        try:
+            algorithm = build_algorithm(name)
+        except UnknownComponentError:
+            pass
+        else:
+            policy = {
+                "table": algorithm.decision_table(),
+                "decouple_writes": algorithm.decouple_writes,
+            }
+    return TraceAuditor(
+        num_cmps=num_cmps or meta.get("num_cmps") or 8,
+        successors=None if num_cmps else meta.get("successors"),
+        **policy,
+    )

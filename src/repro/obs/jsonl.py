@@ -15,8 +15,9 @@ emits one.  Unknown keys in the header are preserved round-trip.
 Byte-identity contract: every event line is exactly
 ``json.dumps(event_to_json(event), sort_keys=True)``.
 :func:`encode_event` produces those bytes without building the dict
-or a new encoder per event; :func:`read_trace` parses each line once
-and rejects every line that is not one event object (or the meta
+or a new encoder per event.  :class:`TraceReader` yields a file's
+events lazily and :func:`read_trace` lists them; both parse each line
+once and reject every line that is not one event object (or the meta
 header) with a ``ValueError`` naming the line.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
-from typing import Any, Dict, Iterable, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.obs.trace import EventType, TraceEvent
 
@@ -162,55 +163,77 @@ def write_trace(
     return count
 
 
-def read_trace(path: str) -> Tuple[Dict[str, Any], List[TraceEvent]]:
-    """Read a trace file back as ``(meta, events)``.
+class TraceReader:
+    """A trace file read lazily, one event at a time.
+
+    ``meta`` holds the header - the meta lines before the first event -
+    as soon as the reader is built.  Each iteration re-reads the file
+    from the start and yields its events in order, so memory does not
+    grow with the file and a second pass (the auditor's) is one more
+    loop.  A meta line met while iterating merges into ``meta``.
 
     Raises ``ValueError`` naming the line for every line that is not
     blank, the meta header or one event object - malformed JSON, a
     non-object, an unknown event type, a missing or non-integer field,
-    a non-object ``data`` - so a truncated or hand-edited file fails
-    loudly rather than auditing a partial trace silently.
+    a non-object ``data`` - when the iteration reaches it, so a
+    truncated or hand-edited file fails loudly rather than auditing a
+    partial trace silently.  A missing file raises ``OSError`` here.
     """
-    meta: Dict[str, Any] = {}
-    events: List[TraceEvent] = []
-    append = events.append
-    raw_decode = json.JSONDecoder().raw_decode
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload, end = raw_decode(line)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(line):
-                # Not exactly one JSON value: json.loads raises its
-                # own error for the line ("Extra data", a BOM, ...).
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.meta: Dict[str, Any] = {}
+        for _event in self:
+            break  # the header is read
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        path = self.path
+        meta = self.meta
+        raw_decode = json.JSONDecoder().raw_decode
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
-                    json.loads(line)
-                except json.JSONDecodeError as exc:
+                    payload, end = raw_decode(line)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(line):
+                    # Not exactly one JSON value: json.loads raises its
+                    # own error for the line ("Extra data", a BOM, ...).
+                    try:
+                        json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ValueError(
+                            "%s:%d: malformed JSON: %s" % (path, lineno, exc)
+                        ) from exc
+                if type(payload) is not dict:
                     raise ValueError(
-                        "%s:%d: malformed JSON: %s" % (path, lineno, exc)
-                    ) from exc
-            if type(payload) is not dict:
-                raise ValueError(
-                    "%s:%d: malformed event: not a JSON object: %.40s"
-                    % (path, lineno, line)
-                )
-            if "meta" in payload and "ev" not in payload:
+                        "%s:%d: malformed event: not a JSON object: %.40s"
+                        % (path, lineno, line)
+                    )
+                if "meta" in payload and "ev" not in payload:
+                    try:
+                        meta.update(payload["meta"])
+                    except (TypeError, ValueError) as exc:
+                        raise ValueError(
+                            "%s:%d: malformed meta header: %s"
+                            % (path, lineno, exc)
+                        ) from exc
+                    continue
                 try:
-                    meta.update(payload["meta"])
-                except (TypeError, ValueError) as exc:
+                    event = event_from_json(payload)
+                except (KeyError, TypeError, ValueError) as exc:
                     raise ValueError(
-                        "%s:%d: malformed meta header: %s"
-                        % (path, lineno, exc)
+                        "%s:%d: malformed event: %s" % (path, lineno, exc)
                     ) from exc
-                continue
-            try:
-                append(event_from_json(payload))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    "%s:%d: malformed event: %s" % (path, lineno, exc)
-                ) from exc
-    return meta, events
+                yield event
+
+
+def read_trace(path: str) -> Tuple[Dict[str, Any], List[TraceEvent]]:
+    """Read a whole trace file as ``(meta, events)``: a
+    :class:`TraceReader` listed, with the same errors."""
+    reader = TraceReader(path)
+    events = list(reader)
+    return reader.meta, events

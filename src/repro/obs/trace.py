@@ -33,6 +33,9 @@ benchmark in ``benchmarks/e2e`` pays.
 from __future__ import annotations
 
 import enum
+import os
+import shutil
+import tempfile
 from typing import IO, Any, List, Mapping, NamedTuple, Optional
 
 
@@ -91,13 +94,22 @@ class TraceEvent(NamedTuple):
 #: Transaction id used for machine events outside any transaction.
 NO_TXN = -1
 
+#: Characters per read when a stream sink copies its spooled events.
+_COPY_CHUNK = 1 << 16
+
 
 class TraceSink:
     """Base sink: receives every emitted :class:`TraceEvent`.
 
     Subclasses override :meth:`emit`; :meth:`close` is called once by
     the owner when the run is over (file-backed sinks flush here).
+    ``meta`` is the run's metadata: :func:`~repro.obs.runner.run_traced`
+    sets it before the run and completes it (``exec_time``,
+    ``num_events``) before closing the sink, and file-backed sinks
+    write it as their header.
     """
+
+    meta: Optional[Mapping[str, Any]] = None
 
     def emit(self, event: TraceEvent) -> None:
         raise NotImplementedError
@@ -128,13 +140,16 @@ class InMemorySink(TraceSink):
 
 
 class JsonlStreamSink(TraceSink):
-    """Streams events straight to a JSONL file as they are emitted.
+    """Streams events to a JSONL file as they are emitted.
 
-    Constant memory; the file layout matches
-    :func:`repro.obs.jsonl.write_trace` (an optional meta header line,
-    then one event object per line), so :func:`repro.obs.jsonl.read_trace`
-    reads it back.  ``events_emitted`` counts what went to disk, so
-    callers report event totals without re-reading the file.
+    Bounded memory.  ``path`` is opened here, so an unwritable path
+    fails before any event.  The header comes first in the file but
+    holds results known only after the run, so events spool to an
+    anonymous file beside ``path`` and :meth:`close` writes the header
+    (``meta`` as it is then, if not ``None``) followed by the spooled
+    events: the file is byte-identical to
+    :func:`repro.obs.jsonl.write_trace` of the same events and meta,
+    and :class:`repro.obs.jsonl.TraceReader` reads it back.
     """
 
     def __init__(
@@ -142,49 +157,66 @@ class JsonlStreamSink(TraceSink):
         path: str,
         meta: Optional[Mapping[str, Any]] = None,
     ) -> None:
-        from repro.obs.jsonl import encode_event, encode_meta
+        from repro.obs.jsonl import WRITE_CHUNK, encode_event, encode_meta
 
         self.path = path
-        self.events_emitted = 0
+        self.meta = meta
         self._encode = encode_event
+        self._encode_meta = encode_meta
+        self._chunk = WRITE_CHUNK
+        # Encoded lines not yet spooled: one write per chunk.
+        self._lines: List[str] = []
         self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
-        if meta is not None:
-            self._handle.write(encode_meta(meta) + "\n")
+        try:
+            self._spool: Optional[IO[str]] = tempfile.TemporaryFile(
+                "w+",
+                encoding="utf-8",
+                dir=os.path.dirname(os.path.abspath(path)),
+            )
+        except OSError:
+            self._handle.close()
+            raise
 
     def emit(self, event: TraceEvent) -> None:
-        handle = self._handle
-        if handle is None:
+        spool = self._spool
+        if spool is None:
             raise ValueError("sink is closed")
-        handle.write(self._encode(event) + "\n")
-        self.events_emitted += 1
+        lines = self._lines
+        lines.append(self._encode(event))
+        if len(lines) == self._chunk:
+            spool.write("\n".join(lines) + "\n")
+            lines.clear()
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        handle, spool = self._handle, self._spool
+        if handle is None or spool is None:
+            return
+        self._handle = self._spool = None
+        try:
+            if self.meta is not None:
+                handle.write(self._encode_meta(self.meta) + "\n")
+            if self._lines:
+                spool.write("\n".join(self._lines) + "\n")
+                self._lines.clear()
+            spool.seek(0)
+            shutil.copyfileobj(spool, handle, _COPY_CHUNK)
+        finally:
+            spool.close()
+            handle.close()
 
 
-def resolve_sink(
-    spec: str, meta: Optional[Mapping[str, Any]] = None
-) -> TraceSink:
+def resolve_sink(spec: str) -> TraceSink:
     """Resolve a sink *spec* to a sink instance.
 
     A spec is a registry sink name with an optional colon-separated
     argument passed to the factory: ``"memory"`` builds an
     :class:`InMemorySink`; ``"jsonl:/tmp/run.jsonl"`` builds a
-    :class:`JsonlStreamSink` streaming to that path.  ``meta`` is
-    forwarded to factories that accept it (file-backed sinks write it
-    as their header line) and silently dropped for those that do not.
+    :class:`JsonlStreamSink` streaming to that path.
     """
     from repro.registry import REGISTRY
 
     name, _, arg = str(spec).partition(":")
     args = (arg,) if arg else ()
-    if meta is not None:
-        try:
-            return REGISTRY.create("sink", name, *args, meta=meta)
-        except TypeError:
-            pass
     try:
         return REGISTRY.create("sink", name, *args)
     except TypeError as exc:

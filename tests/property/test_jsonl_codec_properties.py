@@ -134,15 +134,22 @@ def test_write_read_round_trip(trace):
 @given(st.lists(any_events, max_size=8))
 @settings(max_examples=EXAMPLES, deadline=None)
 def test_stream_sink_writes_the_same_bytes(trace):
+    # The second sink is given the run's final meta only after its
+    # events, as run_traced completes exec_time and num_events after
+    # the run: the header still lands first.
+    final = {**META, "exec_time": 12345, "num_events": len(trace)}
     with tempfile.TemporaryDirectory() as tmp:
-        written = os.path.join(tmp, "written.jsonl")
-        streamed = os.path.join(tmp, "streamed.jsonl")
-        write_trace(written, trace, META)
-        with JsonlStreamSink(streamed, meta=META) as sink:
-            for event in trace:
-                sink.emit(event)
-        with open(written, "rb") as a, open(streamed, "rb") as b:
-            assert a.read() == b.read()
+        for name, meta in (("initial", META), ("final", final)):
+            written = os.path.join(tmp, name + "-written.jsonl")
+            streamed = os.path.join(tmp, name + "-streamed.jsonl")
+            write_trace(written, trace, meta)
+            with JsonlStreamSink(streamed, meta=META) as sink:
+                for event in trace:
+                    sink.emit(event)
+                sink.meta = meta
+            with open(written, "rb") as a, open(streamed, "rb") as b:
+                assert a.read() == b.read()
+        assert len(os.listdir(tmp)) == 4  # the spools left nothing
 
 
 def test_malformed_line_deep_in_a_file_is_reported_by_number(tmp_path):

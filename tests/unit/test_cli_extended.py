@@ -259,46 +259,96 @@ def test_cli_cache_clear_empty_store(tmp_path, monkeypatch, capsys):
 # Streaming sinks, conversion and cache pruning
 
 
-def test_cli_trace_record_streaming_sink(tmp_path, capsys):
-    from repro.obs.jsonl import read_trace
+def test_cli_trace_record_file_matches_write_trace(tmp_path):
+    from repro.obs.jsonl import write_trace
+    from repro.obs.runner import run_traced
 
     out = tmp_path / "run.jsonl"
+    assert main(
+        [
+            "trace", "record", "--algorithm", "subset",
+            "--workload", "specjbb", "--scale", "100",
+            "--out", str(out),
+        ]
+    ) == 0
+    traced = run_traced("subset", "specjbb", accesses_per_core=100)
+    reference = tmp_path / "reference.jsonl"
+    write_trace(str(reference), traced.events, traced.meta)
+    assert out.read_bytes() == reference.read_bytes()
+
+
+def test_cli_trace_record_unwritable_out_fails_before_the_run(
+    tmp_path, capsys, monkeypatch
+):
+    from repro.sim.system import RingMultiprocessor
+
+    def no_run(self, *args, **kwargs):
+        raise AssertionError("simulated despite an unwritable --out")
+
+    monkeypatch.setattr(RingMultiprocessor, "run", no_run)
+    out = tmp_path / "missing_dir" / "x.jsonl"
     code = main(
         [
-            "trace", "record",
-            "--algorithm", "lazy",
-            "--workload", "specjbb",
-            "--scale", "100",
-            "--out", str(out),
-            "--sink", "jsonl",
-            "--audit",
+            "trace", "record", "--algorithm", "lazy",
+            "--workload", "specjbb", "--scale", "100",
+            "--out", str(out), "--audit",
         ]
     )
-    assert code == 0
-    printed = capsys.readouterr().out
-    assert "(streamed)" in printed
-    assert "audit: ok" in printed
-    meta, events = read_trace(out)
-    assert meta["algorithm"] == "lazy"
-    assert len(events) > 0
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("flexsnoop: ")
+    assert "missing_dir" in captured.err
 
 
-def test_cli_trace_record_streamed_matches_memory(tmp_path):
+def _recorded_lines(tmp_path, capsys):
+    out = tmp_path / "run.jsonl"
+    assert main(
+        [
+            "trace", "record", "--algorithm", "criticality",
+            "--workload", "splash2", "--scale", "40",
+            "--out", str(out),
+        ]
+    ) == 0
+    capsys.readouterr()
+    return out, out.read_text().splitlines()
+
+
+def test_cli_trace_audit_malformed_line_after_audited_transactions(
+    tmp_path, capsys
+):
+    out, lines = _recorded_lines(tmp_path, capsys)
+    assert len(lines) > 5_000
+    # By line 5,000 the streamed audit has closed (and dropped)
+    # hundreds of transactions.
+    lines[4_999] = lines[4_999][:-1]
+    out.write_text("\n".join(lines) + "\n")
+    assert main(["trace", "audit", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("flexsnoop: ")
+    assert "run.jsonl:5000: malformed JSON" in captured.err
+
+
+def test_cli_trace_audit_late_event_matches_the_list_audit(tmp_path, capsys):
+    from repro.obs.audit import auditor_for
     from repro.obs.jsonl import read_trace
 
-    mem_out = tmp_path / "mem.jsonl"
-    stream_out = tmp_path / "stream.jsonl"
-    base = [
-        "trace", "record", "--algorithm", "subset",
-        "--workload", "specjbb", "--scale", "100",
-    ]
-    assert main(base + ["--out", str(mem_out)]) == 0
-    assert main(
-        base + ["--out", str(stream_out), "--sink", "jsonl"]
-    ) == 0
-    _meta_a, events_a = read_trace(mem_out)
-    _meta_b, events_b = read_trace(stream_out)
-    assert events_a == events_b
+    out, lines = _recorded_lines(tmp_path, capsys)
+    retire = next(line for line in lines if '"ev": "retire"' in line)
+    out.write_text("\n".join(lines + [retire]) + "\n")
+    meta, events = read_trace(str(out))
+    expected = auditor_for(meta).audit(events)
+    assert expected  # the duplicated retirement breaks the lifecycle
+    assert main(["trace", "audit", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == (
+        ["audit: %d violation(s)" % len(expected)]
+        + ["  %s" % violation for violation in expected]
+    )
 
 
 def test_cli_trace_convert_and_replay(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 
 from repro.obs.audit import TraceAuditor, Violation
 from repro.obs.jsonl import (
+    TraceReader,
     event_from_json,
     event_to_json,
     read_trace,
@@ -101,6 +102,22 @@ def test_jsonl_stream_sink_rejects_emit_after_close(tmp_path):
         sink.emit(_clean_txn()[0])
 
 
+def test_jsonl_stream_sink_opens_its_file_at_once(tmp_path):
+    with pytest.raises(OSError):
+        JsonlStreamSink(str(tmp_path / "missing" / "trace.jsonl"))
+
+
+def test_jsonl_stream_sink_writes_the_meta_it_holds_at_close(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    events = _clean_txn()
+    with JsonlStreamSink(str(path)) as sink:
+        for event in events:
+            sink.emit(event)
+        sink.meta = {"num_cmps": 2, "num_events": len(events)}
+    assert read_trace(str(path)) == (sink.meta, events)
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+
+
 def test_sinks_resolve_through_registry():
     from repro.registry import REGISTRY
 
@@ -166,6 +183,23 @@ def test_read_trace_rejects_non_object_data(tmp_path, data):
 # ----------------------------------------------------------------------
 # Filtering and rendering
 
+def test_trace_reader_reads_the_header_then_streams(tmp_path):
+    path = str(tmp_path / "trace.jsonl")
+    events = _clean_txn()
+    write_trace(path, events, meta={"num_cmps": 2})
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("{not json}\n")
+    reader = TraceReader(path)  # the bad last line is not read yet
+    assert reader.meta == {"num_cmps": 2}
+    seen = []
+    with pytest.raises(ValueError, match=r"trace\.jsonl:%d: malformed JSON"
+                       % (len(events) + 2)):
+        for event in reader:
+            seen.append(event)
+    assert seen == events
+    assert next(iter(reader)) == events[0]  # each pass starts over
+
+
 def test_filter_by_address_and_txn():
     txn_a = _clean_txn(txn=1)
     txn_b = [event._replace(address=0x9999) for event in _clean_txn(txn=2)]
@@ -213,6 +247,50 @@ def test_audit_ignores_machine_events():
         _ev(900, EventType.DOWNGRADE, NO_TXN, 1, writeback=True)
     ]
     assert _audit(events) == []
+
+
+def test_feed_then_finish_is_audit_and_starts_over():
+    auditor = TraceAuditor(num_cmps=2)
+    for event in _clean_txn(txn=1) + _clean_txn(txn=2, t0=900):
+        auditor.feed(event)
+    assert auditor.transactions == 2
+    assert auditor.finish() == []
+    assert auditor.transactions == 0
+    broken = [e for e in _clean_txn() if e.type is not EventType.FILL]
+    for event in broken:
+        auditor.feed(event)
+    assert auditor.finish() == _audit(broken) != []
+
+
+def test_late_event_is_reaudited_from_the_trace():
+    events = _clean_txn()
+    events.append(events[-1])  # the retirement again, after closure
+    auditor = TraceAuditor(num_cmps=2)
+    for event in events:
+        auditor.feed(event)
+    with pytest.raises(ValueError, match="after they closed"):
+        auditor.finish()
+    expected = [Violation(1, "lifecycle", events[-1].time,
+                          "expected exactly 1 retire, saw 2")]
+    assert _audit(events) == expected
+    # A one-shot iterator is listed so the second pass can happen.
+    assert _audit(iter(events)) == expected
+
+
+def test_closure_error_waits_for_the_whole_transaction():
+    events = _clean_txn()
+    hop = events[1]
+    events[1] = hop._replace(
+        data={k: v for k, v in hop.data.items() if k != "to"}
+    )
+    # Closed at its retirement, the transaction's two hops reach the
+    # per-segment check, which needs every hop's "to".
+    with pytest.raises(KeyError):
+        _audit(events)
+    # A third hop after retirement: a batch audit stops at the hop
+    # count, so the closure-time error must not surface.
+    events.append(hop._replace(time=5000))
+    assert _rules(_audit(events)) == ["lifecycle", "conservation"]
 
 
 def test_audit_clean_squashed_txn_passes():
