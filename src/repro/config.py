@@ -47,13 +47,6 @@ class RingConfig:
     #: admits one snoop at a time).  Off by default to match the
     #: paper's unloaded-latency tables.
     serialize_snoop_port: bool = False
-    #: Simulator (not machine) knob: walk consecutive ring hops of a
-    #: transaction inside one engine event instead of one event per
-    #: hop.  Results are identical (asserted by the golden-equivalence
-    #: test); the flag exists so the equivalence can be demonstrated
-    #: and so contention studies - where per-hop event interleaving
-    #: matters and batching auto-disables anyway - can pin it off.
-    hop_batching: bool = True
 
 
 @dataclass(frozen=True)

@@ -140,16 +140,13 @@ class RunStats:
     core_finish_times: List[int] = field(default_factory=list)
     version_violations: int = 0
 
-    # --- engine / hot-path perf counters ----------------------------------
+    # --- engine perf counters --------------------------------------------
     # Populated once, at the end of RingMultiprocessor.run(), with
     # whole-run values (they are diagnostics of simulator efficiency,
     # not of the simulated machine, so they ignore the warmup reset and
     # are deliberately NOT part of summary()).
     events_scheduled: int = 0
     events_fired: int = 0
-    hops_batched: int = 0
-    messages_allocated: int = 0
-    messages_reused: int = 0
 
     @property
     def snoops_per_read_request(self) -> float:

@@ -76,10 +76,6 @@ class _Tee(TraceSink):
     and, when auditing, to the online auditor; events and issued
     transactions are counted on the way (a count, not a set of ids:
     a long run's ids would grow memory with its length).
-
-    The machine closes the sink it emits into when its run ends; this
-    one's ``close`` does nothing, so the run's sink closes only once
-    the metadata its header carries is complete.
     """
 
     def __init__(

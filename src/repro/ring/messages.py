@@ -66,9 +66,8 @@ class RingMessage:
             it circulates for serialization only and is retried.
 
     A hand-rolled ``__slots__`` class (not a dataclass): one message
-    exists per ring transaction and the system pools and re-initializes
-    them across transactions, so construction and field access are on
-    the hot path.
+    exists per ring transaction, so construction and field access are
+    on the hot path.
     """
 
     __slots__ = (
@@ -103,39 +102,6 @@ class RingMessage:
         hops_reply: int = 0,
         squashed: bool = False,
     ) -> None:
-        self.reinit(
-            transaction_id,
-            kind,
-            address,
-            requester,
-            mode,
-            request_time,
-            reply_time,
-            satisfied,
-            satisfied_reply,
-            supplier,
-            hops_request,
-            hops_reply,
-            squashed,
-        )
-
-    def reinit(
-        self,
-        transaction_id: int,
-        kind: SnoopKind,
-        address: int,
-        requester: int,
-        mode: MessageMode = MessageMode.COMBINED,
-        request_time: int = 0,
-        reply_time: Optional[int] = None,
-        satisfied: bool = False,
-        satisfied_reply: bool = False,
-        supplier: Optional[int] = None,
-        hops_request: int = 0,
-        hops_reply: int = 0,
-        squashed: bool = False,
-    ) -> None:
-        """Reset every field, so pooled instances start fresh."""
         self.transaction_id = transaction_id
         self.kind = kind
         self.address = address

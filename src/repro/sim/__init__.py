@@ -7,7 +7,7 @@ own module with a documented interface contract.
 """
 
 from repro.sim.datapath import DataPathModel
-from repro.sim.engine import Event, EventEngine
+from repro.sim.engine import EventEngine
 from repro.sim.memory import MainMemory
 from repro.sim.system import RingMultiprocessor, SimulationResult
 from repro.sim.transactions import Transaction, TransactionManager
@@ -16,7 +16,6 @@ from repro.sim.warmup import WarmupController
 
 __all__ = [
     "DataPathModel",
-    "Event",
     "EventEngine",
     "MainMemory",
     "RingMultiprocessor",

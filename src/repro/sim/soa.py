@@ -24,9 +24,8 @@ into **one function frame**:
   module-level slot constants; there are no message objects, no
   dataclasses and no closures on the hot path.
 * **A fused event loop.**  One ``heapq`` of ``(time, seq, op, a, b)``
-  tuples replaces the engine + callback indirection; each ring walk
-  processes as many hops as legally possible in a single dispatch
-  (the same hop-group batching rule the object core proves safe).
+  tuples replaces the engine + callback indirection; each ring hop is
+  one dispatch, as each is one engine event on the object core.
 * **Single-frame counters.**  Every statistic and energy accumulator
   is a local variable of :meth:`SoaRingMultiprocessor.run`; the
   warmup reset is a block of assignments instead of object churn.
@@ -353,13 +352,6 @@ class SoaRingMultiprocessor:
         occupancy = config.ring.link_occupancy
         link_contention = bool(occupancy)
         port_contention = config.ring.serialize_snoop_port
-        # Hop batching is only invisible while no order-sensitive state
-        # is shared between in-flight messages (RingWalker's rule).
-        batching = (
-            config.ring.hop_batching
-            and not link_contention
-            and not port_contention
-        )
         hit_latency = config.cache.hit_latency
         local_master_latency = config.cache.local_master_latency
         squash_backoff = config.squash_backoff
@@ -806,10 +798,10 @@ class SoaRingMultiprocessor:
             return actual
 
         def walk(txn: list, node_id: int, at: int, entering: bool) -> None:
-            """Process the ring walk from ``node_id``: the arrival at
-            that node when ``entering``, else the initial forward out
-            of the requester.  Batches consecutive hops inline exactly
-            where the object core's walker does."""
+            """Process one hop of the ring walk at ``node_id``: the
+            arrival at that node when ``entering``, else the initial
+            forward out of the requester; then schedule the arrival at
+            the next node."""
             nonlocal seq, read_ring_crossings, write_ring_crossings
             nonlocal e_ring, e_snoop, read_snoops, write_snoops
             nonlocal p_tp, p_tn, a_tp, a_tn, a_fp, a_fn
@@ -819,75 +811,214 @@ class SoaRingMultiprocessor:
             requester = txn[_T_REQ]
             is_write = txn[_T_WRITE]
             address = txn[_T_ADDR]
-            while True:
-                if entering:
-                    if node_id == requester:
-                        # _walk_returned: the final reply crossing
-                        # (books no link, as in RingWalker).
-                        if txn[_T_SPLIT]:
-                            info_time = txn[_T_REPLY] + in_lat[requester]
-                            e_ring += cost_ring
-                            if is_write:
-                                write_ring_crossings += 1
-                            else:
-                                read_ring_crossings += 1
-                        else:
-                            info_time = at
-                        if info_time < at:
-                            info_time = at
-                        seq += 1
-                        push(heap, (info_time, seq, _OP_WALKDONE, txn, 0))
-                        return
+            if entering:
+                if node_id == requester:
+                    # _walk_returned: the final reply crossing
+                    # (books no link, as in RingWalker).
                     if txn[_T_SPLIT]:
-                        # Advance the trailing reply into this node
-                        # (under link contention it books the segment
-                        # the request just crossed).
-                        if link_contention:
-                            txn[_T_REPLY] = (
-                                cross_link(
-                                    txn[_T_LINKS][pred[node_id]],
-                                    txn[_T_REPLY],
-                                )
-                                + in_lat[node_id]
-                            )
-                        else:
-                            txn[_T_REPLY] += in_lat[node_id]
+                        info_time = txn[_T_REPLY] + in_lat[requester]
                         e_ring += cost_ring
                         if is_write:
                             write_ring_crossings += 1
                         else:
                             read_ring_crossings += 1
-                    if txn[_T_SQ] or txn[_T_SAT]:
-                        departure = at
-                    elif is_write:
-                        # ------------------- write step ----------------
-                        entry = supplier_of.get(address)
-                        supplier_here = (
-                            entry is not None and entry[0] == node_id
+                    else:
+                        info_time = at
+                    if info_time < at:
+                        info_time = at
+                    seq += 1
+                    push(heap, (info_time, seq, _OP_WALKDONE, txn, 0))
+                    return
+                if txn[_T_SPLIT]:
+                    # Advance the trailing reply into this node
+                    # (under link contention it books the segment
+                    # the request just crossed).
+                    if link_contention:
+                        txn[_T_REPLY] = (
+                            cross_link(
+                                txn[_T_LINKS][pred[node_id]],
+                                txn[_T_REPLY],
+                            )
+                            + in_lat[node_id]
                         )
-                        snoop_done = at + snoop_time
+                    else:
+                        txn[_T_REPLY] += in_lat[node_id]
+                    e_ring += cost_ring
+                    if is_write:
+                        write_ring_crossings += 1
+                    else:
+                        read_ring_crossings += 1
+                if txn[_T_SQ] or txn[_T_SAT]:
+                    departure = at
+                elif is_write:
+                    # ------------------- write step ----------------
+                    entry = supplier_of.get(address)
+                    supplier_here = (
+                        entry is not None and entry[0] == node_id
+                    )
+                    snoop_done = at + snoop_time
+                    if port_contention:
+                        # _reserve_snoop_port: queue behind the
+                        # CMP's previous snoop.
+                        begin = port_free[node_id]
+                        if begin > at:
+                            port_wait_cycles += begin - at
+                            snoop_done = begin + snoop_time
+                        port_free[node_id] = snoop_done
+                    if decouple:
+                        # FORWARD_THEN_SNOOP
+                        if txn[_T_SPLIT]:
+                            reply_time = txn[_T_REPLY]
+                            if snoop_done > reply_time:
+                                reply_time = snoop_done
+                        else:
+                            reply_time = snoop_done
+                        txn[_T_SPLIT] = True
+                        txn[_T_REPLY] = reply_time
+                        departure = at
+                    else:
+                        # SNOOP_THEN_FORWARD, never the supplier.
+                        if txn[_T_SPLIT]:
+                            departure = txn[_T_REPLY]
+                            if snoop_done > departure:
+                                departure = snoop_done
+                            if txn[_T_SATR]:
+                                txn[_T_SAT] = True
+                            txn[_T_SPLIT] = False
+                            txn[_T_REPLY] = 0
+                        else:
+                            departure = snoop_done
+                    write_snoops += 1
+                    e_snoop += cost_snoop
+                    if (
+                        supplier_here
+                        and txn[_T_NEEDS]
+                        and txn[_T_DA] is None
+                    ):
+                        # capture_write_supply
+                        base = node_id * cpc
+                        set_index = address % num_sets
+                        for local_id in range(cpc):
+                            cache_set = core_sets[base + local_id][
+                                set_index
+                            ]
+                            if cache_set is None:
+                                if (
+                                    set_index
+                                    not in pending_sets[base + local_id]
+                                ):
+                                    continue
+                                cache_set = materialize(
+                                    base + local_id, set_index
+                                )
+                            line = cache_set.get(address)
+                            if line is not None and _SUP[line[1]]:
+                                break
+                        txn[_T_SVER] = line[2]
+                        txn[_T_DA] = (
+                            snoop_done + torus_lat[node_id][requester]
+                        )
+                        writes_supplied_by_cache += 1
+                    seq += 1
+                    push(
+                        heap,
+                        (snoop_done, seq, _OP_INVAL, node_id, address),
+                    )
+                else:
+                    # ------------------- read step -----------------
+                    entry = supplier_of.get(address)
+                    supplier_here = (
+                        entry is not None and entry[0] == node_id
+                    )
+                    if not txn[_T_SATR] and not txn[_T_SAT]:
+                        if supplier_here:
+                            p_tp += 1
+                        else:
+                            p_tn += 1
+                    if uses_pred:
+                        if is_perfect:
+                            predictors[node_id].lookups += 1
+                            prediction = supplier_here
+                        else:
+                            prediction = pred_lookup[node_id](address)
+                            if prediction:
+                                if supplier_here:
+                                    a_tp += 1
+                                else:
+                                    a_fp += 1
+                            else:
+                                if supplier_here:
+                                    a_fn += 1
+                                else:
+                                    a_tn += 1
+                        plat = pred_latency
+                    else:
+                        prediction = True
+                        plat = 0
+                    if static_choice:
+                        if has_crit and (
+                            txn[_T_RETRY] >= retry_thr
+                            or len(txn[_T_WAIT]) >= waiter_thr
+                        ):
+                            primitive = (
+                                crit_true if prediction else crit_false
+                            )
+                            if count_critical:
+                                choice_count += 1
+                        else:
+                            primitive = (
+                                prim_true if prediction else prim_false
+                            )
+                        if count_pred_true and prediction:
+                            choice_count += 1
+                    else:
+                        primitive = _PRIM_INT[
+                            choose(
+                                DecisionContext(
+                                    prediction,
+                                    retries=txn[_T_RETRY],
+                                    waiters=len(txn[_T_WAIT]),
+                                    ring_age=ring_dist[txn[_T_REQ]][
+                                        node_id
+                                    ],
+                                )
+                            )
+                        ]
+                    if primitive == _P_FWD:
+                        if supplier_here:
+                            raise CoherenceError(
+                                "algorithm %s filtered the snoop at the "
+                                "supplier node (false negative on line "
+                                "%#x at CMP %d)"
+                                % (algorithm.name, address, node_id)
+                            )
+                        if (
+                            prefetch_on_snoop
+                            and node_id == address % num_cmps
+                            and not txn[_T_PREF]
+                            and not txn[_T_SATR]
+                        ):
+                            txn[_T_PREF] = True
+                        departure = at + plat
+                    else:
+                        start = at + plat
+                        snoop_done = start + snoop_time
                         if port_contention:
-                            # _reserve_snoop_port: queue behind the
-                            # CMP's previous snoop.
                             begin = port_free[node_id]
-                            if begin > at:
-                                port_wait_cycles += begin - at
+                            if begin > start:
+                                port_wait_cycles += begin - start
                                 snoop_done = begin + snoop_time
                             port_free[node_id] = snoop_done
-                        if decouple:
-                            # FORWARD_THEN_SNOOP
-                            if txn[_T_SPLIT]:
-                                reply_time = txn[_T_REPLY]
-                                if snoop_done > reply_time:
-                                    reply_time = snoop_done
-                            else:
-                                reply_time = snoop_done
-                            txn[_T_SPLIT] = True
-                            txn[_T_REPLY] = reply_time
-                            departure = at
-                        else:
-                            # SNOOP_THEN_FORWARD, never the supplier.
-                            if txn[_T_SPLIT]:
+                        supplied = False
+                        if primitive == _P_STF:
+                            if supplier_here:
+                                txn[_T_SAT] = True
+                                txn[_T_SATR] = True
+                                txn[_T_SPLIT] = False
+                                txn[_T_REPLY] = 0
+                                departure = snoop_done
+                                supplied = True
+                            elif txn[_T_SPLIT]:
                                 departure = txn[_T_REPLY]
                                 if snoop_done > departure:
                                     departure = snoop_done
@@ -897,14 +1028,31 @@ class SoaRingMultiprocessor:
                                 txn[_T_REPLY] = 0
                             else:
                                 departure = snoop_done
-                        write_snoops += 1
+                        else:
+                            # FORWARD_THEN_SNOOP
+                            if txn[_T_SPLIT]:
+                                reply_time = txn[_T_REPLY]
+                                if snoop_done > reply_time:
+                                    reply_time = snoop_done
+                            else:
+                                reply_time = snoop_done
+                            if supplier_here:
+                                txn[_T_SATR] = True
+                                supplied = True
+                            txn[_T_SPLIT] = True
+                            txn[_T_REPLY] = reply_time
+                            departure = start
+                        read_snoops += 1
                         e_snoop += cost_snoop
                         if (
-                            supplier_here
-                            and txn[_T_NEEDS]
-                            and txn[_T_DA] is None
+                            is_superset
+                            and uses_pred
+                            and not supplier_here
+                            and prediction
                         ):
-                            # capture_write_supply
+                            pred_observe[node_id](address)
+                        if supplied:
+                            # supply_read
                             base = node_id * cpc
                             set_index = address % num_sets
                             for local_id in range(cpc):
@@ -914,7 +1062,9 @@ class SoaRingMultiprocessor:
                                 if cache_set is None:
                                     if (
                                         set_index
-                                        not in pending_sets[base + local_id]
+                                        not in pending_sets[
+                                            base + local_id
+                                        ]
                                     ):
                                         continue
                                     cache_set = materialize(
@@ -923,221 +1073,51 @@ class SoaRingMultiprocessor:
                                 line = cache_set.get(address)
                                 if line is not None and _SUP[line[1]]:
                                     break
+                            line[1] = _NEXT_ON_READ[line[1]]
                             txn[_T_SVER] = line[2]
-                            txn[_T_DA] = (
-                                snoop_done + torus_lat[node_id][requester]
+                            data_arrival = (
+                                snoop_done
+                                + torus_lat[node_id][requester]
                             )
-                            writes_supplied_by_cache += 1
-                        seq += 1
-                        push(
-                            heap,
-                            (snoop_done, seq, _OP_INVAL, node_id, address),
-                        )
-                    else:
-                        # ------------------- read step -----------------
-                        entry = supplier_of.get(address)
-                        supplier_here = (
-                            entry is not None and entry[0] == node_id
-                        )
-                        if not txn[_T_SATR] and not txn[_T_SAT]:
-                            if supplier_here:
-                                p_tp += 1
-                            else:
-                                p_tn += 1
-                        if uses_pred:
-                            if is_perfect:
-                                predictors[node_id].lookups += 1
-                                prediction = supplier_here
-                            else:
-                                prediction = pred_lookup[node_id](address)
-                                if prediction:
-                                    if supplier_here:
-                                        a_tp += 1
-                                    else:
-                                        a_fp += 1
-                                else:
-                                    if supplier_here:
-                                        a_fn += 1
-                                    else:
-                                        a_tn += 1
-                            plat = pred_latency
-                        else:
-                            prediction = True
-                            plat = 0
-                        if static_choice:
-                            if has_crit and (
-                                txn[_T_RETRY] >= retry_thr
-                                or len(txn[_T_WAIT]) >= waiter_thr
-                            ):
-                                primitive = (
-                                    crit_true if prediction else crit_false
-                                )
-                                if count_critical:
-                                    choice_count += 1
-                            else:
-                                primitive = (
-                                    prim_true if prediction else prim_false
-                                )
-                            if count_pred_true and prediction:
-                                choice_count += 1
-                        else:
-                            primitive = _PRIM_INT[
-                                choose(
-                                    DecisionContext(
-                                        prediction,
-                                        retries=txn[_T_RETRY],
-                                        waiters=len(txn[_T_WAIT]),
-                                        ring_age=ring_dist[txn[_T_REQ]][
-                                            node_id
-                                        ],
-                                    )
-                                )
-                            ]
-                        if primitive == _P_FWD:
-                            if supplier_here:
-                                raise CoherenceError(
-                                    "algorithm %s filtered the snoop at the "
-                                    "supplier node (false negative on line "
-                                    "%#x at CMP %d)"
-                                    % (algorithm.name, address, node_id)
-                                )
-                            if (
-                                prefetch_on_snoop
-                                and node_id == address % num_cmps
-                                and not txn[_T_PREF]
-                                and not txn[_T_SATR]
-                            ):
-                                txn[_T_PREF] = True
-                            departure = at + plat
-                        else:
-                            start = at + plat
-                            snoop_done = start + snoop_time
-                            if port_contention:
-                                begin = port_free[node_id]
-                                if begin > start:
-                                    port_wait_cycles += begin - start
-                                    snoop_done = begin + snoop_time
-                                port_free[node_id] = snoop_done
-                            supplied = False
-                            if primitive == _P_STF:
-                                if supplier_here:
-                                    txn[_T_SAT] = True
-                                    txn[_T_SATR] = True
-                                    txn[_T_SPLIT] = False
-                                    txn[_T_REPLY] = 0
-                                    departure = snoop_done
-                                    supplied = True
-                                elif txn[_T_SPLIT]:
-                                    departure = txn[_T_REPLY]
-                                    if snoop_done > departure:
-                                        departure = snoop_done
-                                    if txn[_T_SATR]:
-                                        txn[_T_SAT] = True
-                                    txn[_T_SPLIT] = False
-                                    txn[_T_REPLY] = 0
-                                else:
-                                    departure = snoop_done
-                            else:
-                                # FORWARD_THEN_SNOOP
-                                if txn[_T_SPLIT]:
-                                    reply_time = txn[_T_REPLY]
-                                    if snoop_done > reply_time:
-                                        reply_time = snoop_done
-                                else:
-                                    reply_time = snoop_done
-                                if supplier_here:
-                                    txn[_T_SATR] = True
-                                    supplied = True
-                                txn[_T_SPLIT] = True
-                                txn[_T_REPLY] = reply_time
-                                departure = start
-                            read_snoops += 1
-                            e_snoop += cost_snoop
-                            if (
-                                is_superset
-                                and uses_pred
-                                and not supplier_here
-                                and prediction
-                            ):
-                                pred_observe[node_id](address)
-                            if supplied:
-                                # supply_read
-                                base = node_id * cpc
-                                set_index = address % num_sets
-                                for local_id in range(cpc):
-                                    cache_set = core_sets[base + local_id][
-                                        set_index
-                                    ]
-                                    if cache_set is None:
-                                        if (
-                                            set_index
-                                            not in pending_sets[
-                                                base + local_id
-                                            ]
-                                        ):
-                                            continue
-                                        cache_set = materialize(
-                                            base + local_id, set_index
-                                        )
-                                    line = cache_set.get(address)
-                                    if line is not None and _SUP[line[1]]:
-                                        break
-                                line[1] = _NEXT_ON_READ[line[1]]
-                                txn[_T_SVER] = line[2]
-                                data_arrival = (
-                                    snoop_done
-                                    + torus_lat[node_id][requester]
-                                )
-                                txn[_T_DA] = data_arrival
-                                reads_supplied_by_cache += 1
-                                supplier_latency_sum += (
-                                    snoop_done - txn[_T_ISSUE]
-                                )
-                                supplier_latency_count += 1
-                                seq += 1
-                                push(
-                                    heap,
-                                    (
-                                        data_arrival,
-                                        seq,
-                                        _OP_DELIVER_READ,
-                                        txn,
-                                        0,
-                                    ),
-                                )
-                            if (
-                                prefetch_on_snoop
-                                and node_id == address % num_cmps
-                                and not txn[_T_PREF]
-                                and not txn[_T_SATR]
-                            ):
-                                txn[_T_PREF] = True
-                else:
-                    departure = at
-                    entering = True
-                # ----------------------- forward_request ---------------
-                e_ring += cost_ring
-                if is_write:
-                    write_ring_crossings += 1
-                else:
-                    read_ring_crossings += 1
-                if link_contention:
-                    departure = cross_link(txn[_T_LINKS][node_id], departure)
-                arrival = departure + out_lat[node_id]
-                to_node = succ[node_id]
-                if (
-                    batching
-                    and not in_warmup
-                    and (txn[_T_SQ] or txn[_T_SAT])
-                    and to_node != requester
-                ):
-                    node_id = to_node
-                    at = arrival
-                    continue
-                txn[_T_NEXT] = to_node
-                seq += 1
-                push(heap, (arrival, seq, _OP_STEP, txn, 0))
-                return
+                            txn[_T_DA] = data_arrival
+                            reads_supplied_by_cache += 1
+                            supplier_latency_sum += (
+                                snoop_done - txn[_T_ISSUE]
+                            )
+                            supplier_latency_count += 1
+                            seq += 1
+                            push(
+                                heap,
+                                (
+                                    data_arrival,
+                                    seq,
+                                    _OP_DELIVER_READ,
+                                    txn,
+                                    0,
+                                ),
+                            )
+                        if (
+                            prefetch_on_snoop
+                            and node_id == address % num_cmps
+                            and not txn[_T_PREF]
+                            and not txn[_T_SATR]
+                        ):
+                            txn[_T_PREF] = True
+            else:
+                departure = at
+            # ----------------------- forward_request ---------------
+            e_ring += cost_ring
+            if is_write:
+                write_ring_crossings += 1
+            else:
+                read_ring_crossings += 1
+            if link_contention:
+                departure = cross_link(txn[_T_LINKS][node_id], departure)
+            arrival = departure + out_lat[node_id]
+            to_node = succ[node_id]
+            txn[_T_NEXT] = to_node
+            seq += 1
+            push(heap, (arrival, seq, _OP_STEP, txn, 0))
 
         def handle_read(core: list) -> None:
             nonlocal reads, read_hits_local_cache, read_hits_local_master

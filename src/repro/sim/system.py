@@ -14,8 +14,8 @@ facade (see ``docs/architecture.md`` for the full picture):
 * :class:`~repro.sim.transactions.TransactionManager` - issue,
   collision/squash/retry, MSHR waiters, retirement, write
   serialization.
-* :class:`~repro.sim.walker.RingWalker` - the per-hop ring walk, hop
-  batching, and Table 2 primitive application.
+* :class:`~repro.sim.walker.RingWalker` - the per-hop ring walk and
+  Table 2 primitive application.
 * :class:`~repro.sim.datapath.DataPathModel` - torus data replies,
   home-memory timing (with the prefetch heuristic), fills/evictions,
   and Exact-predictor downgrades.
@@ -203,11 +203,13 @@ class RingMultiprocessor:
         algorithm.bind_predictor_kind(config.predictor.kind)
         self.source = source
 
-        # Observability: a sink passed explicitly wins; otherwise one
-        # is resolved through the registry when config.tracing asks
-        # for it.  ``self.trace`` is None when tracing is off - the
-        # subsystems then skip every emission with one identity test.
-        if trace_sink is None and config.tracing.enabled:
+        # Observability: a sink passed explicitly wins, and its caller
+        # closes it; otherwise one is resolved through the registry
+        # when config.tracing asks for it, and the run closes it.
+        # ``self.trace`` is None when tracing is off - the subsystems
+        # then skip every emission with one identity test.
+        self._closes_trace = trace_sink is None and config.tracing.enabled
+        if self._closes_trace:
             trace_sink = resolve_sink(config.tracing.sink)
         self.trace: Optional[TraceSink] = trace_sink
 
@@ -303,7 +305,7 @@ class RingMultiprocessor:
         )
         self.warmup.wire(self)
         self.txns.wire(self.walker, self.datapath, self.warmup, self)
-        self.walker.wire(self.txns, self.datapath, self.warmup)
+        self.walker.wire(self.txns, self.datapath)
         self.datapath.wire(self.txns, self.warmup)
 
         for node in self.nodes:
@@ -359,7 +361,7 @@ class RingMultiprocessor:
             self.engine.run(max_events=max_events)
         finally:
             self._unwire()
-            if self.trace is not None:
+            if self._closes_trace:
                 self.trace.close()
         self._finalize_energy()
         self.stats.core_finish_times = [
@@ -377,9 +379,6 @@ class RingMultiprocessor:
         # of the simulation itself, so they ignore the warmup reset).
         self.stats.events_scheduled = self.engine.events_scheduled
         self.stats.events_fired = self.engine.events_processed
-        self.stats.hops_batched = self.walker.hops_batched
-        self.stats.messages_allocated = self.txns.messages_allocated
-        self.stats.messages_reused = self.txns.messages_reused
         return SimulationResult(
             algorithm=self.algorithm.name,
             workload=self.source.name,

@@ -20,9 +20,9 @@ moment a core issues it until it retires:
   data path (``fill``).
 
 State owned here: the active-transaction map (per line), the
-transaction/write sequence counters, the :class:`RingMessage` pool and
-its reuse counters, the per-line last-completed-write versions, and
-the MSHR waiter lists hanging off each :class:`Transaction`.
+transaction/write sequence counters, the per-line last-completed-write
+versions, and the MSHR waiter lists hanging off each
+:class:`Transaction`.
 
 All state is process-local and single-threaded; methods must only be
 invoked from event-engine callbacks (or before ``engine.run``).
@@ -60,8 +60,7 @@ class Transaction:
     A ``__slots__`` class: one instance per ring transaction, with the
     message and the per-transaction step callback (``step_cb``) bound
     once at issue so the walk schedules no per-hop closures.  ``msg``
-    is set in ``__init__`` and only becomes ``None`` at retirement,
-    when the message returns to the system's pool.
+    is set in ``__init__`` and only becomes ``None`` at retirement.
     """
 
     __slots__ = (
@@ -178,11 +177,6 @@ class TransactionManager:
         self._core_retries: List[int] = [0] * len(cores)
         self._txn_seq = 0
         self._write_counter = 0
-        # Message pool + simulator-efficiency counters (surfaced on
-        # RunStats at the end of the run).
-        self._msg_pool: List[RingMessage] = []
-        self.messages_allocated = 0
-        self.messages_reused = 0
         self.last_completed_write: Dict[int, int] = {}
         # Warmup window mirror (rebound by the WarmupController so the
         # per-access check below stays a plain attribute read).
@@ -390,27 +384,6 @@ class TransactionManager:
             )
 
         self._txn_seq += 1
-        if self._msg_pool:
-            msg = self._msg_pool.pop()
-            msg.reinit(
-                self._txn_seq,
-                kind,
-                address,
-                core.cmp_id,
-                request_time=now,
-                squashed=squashed,
-            )
-            self.messages_reused += 1
-        else:
-            msg = RingMessage(
-                self._txn_seq,
-                kind,
-                address,
-                core.cmp_id,
-                request_time=now,
-                squashed=squashed,
-            )
-            self.messages_allocated += 1
         txn = Transaction(
             txn_id=self._txn_seq,
             kind=kind,
@@ -418,7 +391,14 @@ class TransactionManager:
             requester_cmp=core.cmp_id,
             core=core,
             issue_time=now,
-            msg=msg,
+            msg=RingMessage(
+                self._txn_seq,
+                kind,
+                address,
+                core.cmp_id,
+                request_time=now,
+                squashed=squashed,
+            ),
             expected_version=self.last_completed_write.get(address, 0),
         )
         txn.retry_count = self._core_retries[core.core_id]
@@ -492,13 +472,9 @@ class TransactionManager:
         if self.config.check_invariants:
             self._system._check_line_invariants(txn.address)
         # The walk is over and nothing reads the message after
-        # retirement: return it to the pool for the next transaction.
-        # Dropping the step callback, which closes over the
-        # transaction, lets reference counting free a retired one.
-        msg = txn.msg
-        if msg is not None:
-            txn.msg = None
-            self._msg_pool.append(msg)
+        # retirement.  Dropping the step callback, which closes over
+        # the transaction, lets reference counting free a retired one.
+        txn.msg = None
         txn.step_cb = _noop
         waiters, txn.waiters = txn.waiters, []
         for position, waiter in enumerate(waiters):

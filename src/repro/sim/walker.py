@@ -20,17 +20,13 @@ primitive semantics at every node:
   to the data path (``read_done`` / ``write_done``) or, when squashed,
   back to the transaction manager for its back-off retry.
 
-State owned here: hop batching (enablement, the ``hops_batched``
-counter, and the in-warmup suspension mirror), the optional
-link/snoop-port contention reservations, and the hot-path constants
-hoisted from the algorithm and machine config.
+State owned here: the optional link/snoop-port contention
+reservations and the hot-path constants hoisted from the algorithm and
+machine config.
 
-Performance contract: the walk schedules no per-hop closures (the
-transaction carries one prebound callback) and batches pass-through
-hops into a single engine event whenever that is behaviourally
-invisible - ``tests/golden/test_golden_equivalence.py`` guards the
-invisibility and the end-to-end benchmark in ``benchmarks/e2e`` the
-speed.
+Every ring hop is one engine event, so the walk's side effects happen
+in engine order.  The walk schedules no per-hop closures: the
+transaction carries one prebound callback.
 """
 
 from __future__ import annotations
@@ -56,11 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.sim.engine import EventEngine
     from repro.sim.memory import MainMemory
     from repro.sim.transactions import Transaction, TransactionManager
-    from repro.sim.warmup import WarmupController
 
 
 class RingWalker:
-    """Per-hop walk, hop batching and Table 2 primitive application."""
+    """Per-hop walk and Table 2 primitive application."""
 
     def __init__(
         self,
@@ -133,21 +128,6 @@ class RingWalker:
             self._pred = [0] * len(succ)
             for node, downstream in enumerate(succ):
                 self._pred[downstream] = node
-        # Hop batching: walk consecutive ring hops of one transaction
-        # inside a single engine event (at "virtual" times ahead of the
-        # engine clock) instead of scheduling one event per hop.  Only
-        # safe when nothing order-sensitive is shared between in-flight
-        # messages at sub-hop granularity, so it auto-disables under
-        # the contention models and the presence-filter extension; it
-        # is also suspended while warmup statistics can still be reset
-        # (see walk_from).
-        self._hop_batching = (
-            config.ring.hop_batching
-            and config.ring.link_occupancy == 0
-            and not config.ring.serialize_snoop_port
-            and not config.filter_write_snoops
-        )
-        self.hops_batched = 0
         # Optional contention modeling: next-free times of each
         # physical link and of each CMP's snoop port.  The topology
         # describes the physical links behind each outbound segment as
@@ -186,19 +166,14 @@ class RingWalker:
         self.link_busy_cycles = 0
         #: Cumulative snoop-port queueing delay (cycles).
         self.port_wait_cycles = 0
-        self._in_warmup = False
 
     def wire(
-        self,
-        txns: "TransactionManager",
-        datapath: "DataPathModel",
-        warmup: "WarmupController",
+        self, txns: "TransactionManager", datapath: "DataPathModel"
     ) -> None:
         """Bind the collaborating subsystems (called once by the
         facade, before any event fires)."""
         self._txns = txns
         self._datapath = datapath
-        self._in_warmup = warmup.in_warmup
 
     def unwire(self) -> None:
         """Drop the links :meth:`wire` made, once the machine has run."""
@@ -206,7 +181,7 @@ class RingWalker:
 
     def on_warmup_end(self, stats: "RunStats", energy: "EnergyModel") -> None:
         """Warmup reset notification: measurement restarts on the new
-        stats/energy objects and hop batching un-suspends.
+        stats/energy objects.
 
         The contention reservations are cleared along with the
         counters: link and snoop-port bookings made by warmup-era
@@ -219,7 +194,6 @@ class RingWalker:
         self.energy = energy
         self._link_free.clear()
         self._snoop_port_free = [0] * len(self._snoop_port_free)
-        self._in_warmup = False
 
     # ==================================================================
     # Walk driving
@@ -321,7 +295,8 @@ class RingWalker:
         self, txn: "Transaction", from_node: int, departure: int
     ) -> None:
         """Send the request/combined form across one ring segment,
-        leaving ``from_node`` at ``departure``, then walk onward."""
+        leaving ``from_node`` at ``departure``, and schedule its
+        arrival at the next node."""
         msg = txn.msg
         assert msg is not None
         msg.hops_request += 1
@@ -356,27 +331,6 @@ class RingWalker:
                     },
                 )
             )
-        if (
-            self._hop_batching
-            and not self._in_warmup
-            and (msg.squashed or msg.satisfied)
-            and to_node != txn.requester_cmp
-        ):
-            # Batched: the message is circulating (squashed, or a
-            # satisfied combined R/R) so the next node is guaranteed
-            # not to snoop or touch any shared state - its processing
-            # runs inline at the "virtual" arrival time instead of
-            # through a scheduled event.  Every timing value computed
-            # downstream is identical to the event-per-hop execution;
-            # only the engine's event count shrinks.  Nodes that might
-            # snoop and the requester keep their own events so all
-            # coherence-state mutations still execute in engine order.
-            # Suspended during warmup so counters land on the correct
-            # side of the warmup statistics reset (the reset fires
-            # from a completion event that may interleave with hops).
-            self.hops_batched += 1
-            self.walk_from(txn, to_node, arrival)
-            return
         txn.next_node = to_node
         self.engine.call_at(arrival, txn.step_cb)
 
@@ -420,14 +374,7 @@ class RingWalker:
         self, txn: "Transaction", node_id: int, now: int
     ) -> None:
         """Process the request's arrival at ``node_id`` at time
-        ``now``.
-
-        ``now`` equals ``engine.now`` when entered from a scheduled
-        walk event; with hop batching it runs ahead of the engine
-        clock (the hop's computed arrival time), which is transparent
-        to everything downstream because all timing is derived from
-        ``now`` rather than read off the engine.
-        """
+        ``now`` (the engine clock of the hop's event)."""
         msg = txn.msg
         assert msg is not None
         if node_id == txn.requester_cmp:
@@ -669,7 +616,7 @@ class RingWalker:
     def _walk_returned(self, txn: "Transaction", now: int) -> None:
         """The request form is back at the requester; wait for the
         trailing reply if the message is split.  ``now`` is the
-        request's arrival time (virtual when hops were batched)."""
+        request's arrival time."""
         msg = txn.msg
         assert msg is not None
         if msg.mode is MessageMode.SPLIT:

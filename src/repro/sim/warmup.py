@@ -19,8 +19,7 @@ training from measurement:
   completed-access threshold is crossed): builds fresh ``RunStats``
   and ``EnergyModel`` objects, zeroes the predictor/presence/memory
   counters, and asks the facade to broadcast the new measurement
-  objects to every subsystem (``rebind_measurement``), which also
-  un-suspends the walker's hop batching.
+  objects to every subsystem (``rebind_measurement``).
 
 State owned here: ``warmup_target`` / ``in_warmup`` /
 ``warmup_end_time`` (the facade and the other subsystems read these

@@ -10,13 +10,16 @@ so every rule is armed.
 * **Targeted** - one perturbation per rule, chosen so that rule must
   fire.  A rule that stops biting on real traffic fails here.
 * **Random** - seeded perturbations (drop, duplicate, swap, retype or
-  shift an event; flip a data field or the node).  Each one's whole
-  violation list - txn, rule, anchor time, message and order - must
-  equal ``audit_mutations.json``.  That golden was recorded with a
-  reference auditor before the auditor was restructured for speed, so
-  a rewrite that changes any verdict, message or order fails here.
+  shift an event; flip a data field or the node).
 
-Tier-1 checks an evenly spaced subset of the golden perturbations; set
+Every perturbation's whole violation list - txn, rule, anchor time,
+message and order - must equal ``audit_mutations.json``, which holds
+the targeted verdicts by rule and the random ones by seed.  When it
+was recorded, every verdict in it equalled the batch reference audit
+of ``tests/property/test_online_audit_properties.py``, so a rewrite of
+the auditor that changes any verdict, message or order fails here.
+
+Tier-1 checks an evenly spaced subset of the random perturbations; set
 ``FLEXSNOOP_PROPERTY_EXAMPLES`` to the golden's size (or more) to check
 every one.  Re-record the golden only from an auditor whose verdicts
 are trusted::
@@ -297,10 +300,16 @@ def perturbations(events, num_cmps):
 
 def record_golden(path=GOLDEN_PATH):
     events, auditor = record_cell()
-    golden = [
-        {"seed": seed, "mutation": label, "verdict": verdict(auditor, perturbed)}
-        for seed, (label, perturbed) in perturbations(events, auditor.num_cmps)
-    ]
+    golden = {
+        "targeted": {
+            rule: verdict(auditor, TARGETED[rule](events))
+            for rule in sorted(TARGETED)
+        },
+        "random": [
+            {"seed": seed, "mutation": label, "verdict": verdict(auditor, perturbed)}
+            for seed, (label, perturbed) in perturbations(events, auditor.num_cmps)
+        ],
+    }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(golden, handle, indent=1)
         handle.write("\n")
@@ -332,34 +341,41 @@ def test_real_trace_is_clean_with_squashes_and_mshr_waiters(cell):
 
 
 @pytest.mark.parametrize("rule", sorted(TARGETED))
-def test_targeted_perturbation_fires_its_rule(cell, rule):
+def test_targeted_perturbation_fires_its_rule(cell, golden, rule):
     events, auditor = cell
-    perturbed = TARGETED[rule](events)
-    assert rule in {violation.rule for violation in auditor.audit(perturbed)}
+    expected = golden["targeted"][rule]
+    assert rule in {violation[1] for violation in expected}
+    assert verdict(auditor, TARGETED[rule](events)) == expected
 
 
 def test_golden_covers_every_perturbation_kind_and_rule(golden):
-    assert len(golden) == PERTURBATIONS
-    kinds = {entry["mutation"].split()[0] for entry in golden}
+    random_set = golden["random"]
+    assert len(random_set) == PERTURBATIONS
+    kinds = {entry["mutation"].split()[0] for entry in random_set}
     assert kinds == set(PERTURBATION_KINDS)
+    assert set(golden["targeted"]) == set(TARGETED)
+    verdicts = list(golden["targeted"].values()) + [
+        entry["verdict"] for entry in random_set
+    ]
     fired = {
         violation[1]
-        for entry in golden
-        if isinstance(entry["verdict"], list)
-        for violation in entry["verdict"]
+        for found in verdicts
+        if isinstance(found, list)
+        for violation in found
     }
     assert fired == set(TARGETED)
 
 
 def test_random_perturbations_match_golden(cell, golden):
     events, auditor = cell
-    count = min(EXAMPLES, len(golden))
-    selected = {i * len(golden) // count for i in range(count)}
+    random_set = golden["random"]
+    count = min(EXAMPLES, len(random_set))
+    selected = {i * len(random_set) // count for i in range(count)}
     checked = 0
     for seed, (label, perturbed) in perturbations(events, auditor.num_cmps):
         if seed not in selected:
             continue
-        entry = golden[seed]
+        entry = random_set[seed]
         assert entry["seed"] == seed and entry["mutation"] == label
         assert verdict(auditor, perturbed) == entry["verdict"], label
         checked += 1

@@ -49,14 +49,7 @@ ACCESSES_PER_CORE = 30
 WARMUP = 0.3
 
 
-def contended_machine(
-    algorithm,
-    topology,
-    num_cmps,
-    occupancy,
-    serialize,
-    hop_batching=True,
-):
+def contended_machine(algorithm, topology, num_cmps, occupancy, serialize):
     machine = default_machine(
         algorithm=algorithm,
         cores_per_cmp=CORES_PER_CMP,
@@ -67,7 +60,6 @@ def contended_machine(
             machine.ring,
             link_occupancy=occupancy,
             serialize_snoop_port=serialize,
-            hop_batching=hop_batching,
         ),
         topology=dataclasses.replace(machine.topology, kind=topology),
     )
@@ -140,23 +132,6 @@ def test_contention_actually_contends():
     assert soa.port_wait_cycles > 0
     assert result.stats.retries > 0
     assert result.stats.mshr_queued > 0
-
-
-def test_hop_batching_request_is_ignored_under_contention():
-    """``hop_batching=True`` is gated off by contention on both cores,
-    so a contended run equals its explicitly unbatched twin."""
-    source = contended_source(8, 1.0)
-    batched = contended_machine("eager", "ring", 8, 600, True)
-    unbatched = contended_machine(
-        "eager", "ring", 8, 600, True, hop_batching=False
-    )
-    system, expected, soa, actual = run_both(batched, "eager", source)
-    assert_identical(system, expected, soa, actual)
-    twin = SoaRingMultiprocessor(
-        unbatched, build_algorithm("eager"), source, warmup_fraction=WARMUP
-    ).run()
-    assert twin.summary() == actual.summary()
-    assert twin.events == actual.events
 
 
 #: Cycles of fake backlog injected at the warmup reset.

@@ -1,36 +1,29 @@
-"""Golden-equivalence tests for the hot-path optimizations.
+"""Golden-equivalence tests for the object core.
 
-``summaries.json`` pins the full ``SimulationResult.summary()`` (plus
-the engine event count) of every algorithm x workload x warmup cell,
+``summaries.json`` pins the full ``SimulationResult.summary()`` and
+the engine event count of every algorithm x workload x warmup cell,
 captured on the pre-optimization engine (commit ``b43532b``, one
-event per ring hop, no prewarm memo, no FORWARD fast path).  Two
-claims are checked against it:
-
-* **Results are unchanged.**  With all optimizations on (the
-  default), every summary - exec time, crossings, energy, squashes,
-  latencies - is bit-identical to the golden capture.  Hop batching
-  fires *fewer engine events* for the same simulated behaviour, so
-  this pass compares summaries only.
-* **Batching is purely mechanical.**  With ``hop_batching=False`` the
-  walk degenerates to exactly the original one-event-per-hop
-  schedule, and the *event count* must also match the golden capture
-  - demonstrating that batching changed how the walk is driven, not
-  what it does.
+event per ring hop, no prewarm memo, no FORWARD fast path).  The
+claim checked against it: every cell reproduces that capture exactly.
+``test_summary_matches_pre_optimization_golden`` checks the summary -
+exec time, crossings, energy, squashes, latencies - and
+``test_unbatched_walk_replays_golden_event_for_event`` the number of
+engine events, which matches because every ring hop is still one
+engine event.  A change to results and a change to how the walk is
+driven thus fail different tests.
 
 Regenerating ``summaries.json`` after an intentional semantic change:
-run any cell below at ``GOLDEN_SCALE`` with batching off and dump
+run every cell below at ``GOLDEN_SCALE`` and dump
 ``{algorithm, workload, warmup_fraction, summary, events}`` per cell.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 
 import pytest
 
-from repro.config import default_machine
 from repro.harness.parallel import RunSpec, execute_spec
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "summaries.json")
@@ -50,14 +43,13 @@ def _cell_id(cell) -> str:
     )
 
 
-def _golden_spec(cell, config=None) -> RunSpec:
+def _golden_spec(cell) -> RunSpec:
     return RunSpec(
         algorithm=cell["algorithm"],
         workload=cell["workload"],
         accesses_per_core=GOLDEN_SCALE,
         seed=0,
         warmup_fraction=cell["warmup_fraction"],
-        config=config,
     )
 
 
@@ -86,10 +78,7 @@ def test_summary_matches_pre_optimization_golden(cell):
 
 @pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=_cell_id)
 def test_unbatched_walk_replays_golden_event_for_event(cell):
-    config = default_machine(algorithm=cell["algorithm"], cores_per_cmp=1)
-    config = config.replace(
-        ring=dataclasses.replace(config.ring, hop_batching=False)
-    )
-    result = execute_spec(_golden_spec(cell, config=config))
-    assert result.summary() == cell["summary"]
+    result = execute_spec(_golden_spec(cell))
     assert result.events == cell["events"]
+    # No event is dropped: the run fired every event it scheduled.
+    assert result.stats.events_scheduled == result.events

@@ -3,16 +3,16 @@
 The SoA core (``core=soa``) replaces the object core's subsystem
 seams with one fused event loop over integer-coded state; its whole
 claim is that this is a *mechanical* transformation.  Two checks pin
-that claim to the same golden capture the hot-path optimizations are
-checked against:
+that claim to the same golden capture the object core is checked
+against:
 
 * every golden cell, executed through the normal harness path with
   ``RunSpec(core="soa")``, produces a summary bit-identical to the
-  pre-optimization golden capture (and therefore to the object core,
-  which is pinned to the same file by ``test_golden_equivalence``);
+  pre-optimization golden capture and the same engine event count
+  (and therefore matches the object core, which is pinned to the same
+  file by ``test_golden_equivalence``);
 * the fingerprints of the two cores differ, so the result cache never
-  serves one core's entry for the other (their ``events`` counts are
-  diagnostic and differ even though summaries match).
+  serves one core's entry for the other.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ def _soa_spec(cell) -> RunSpec:
 def test_soa_summary_matches_golden(cell):
     result = execute_spec(_soa_spec(cell))
     assert result.summary() == cell["summary"]
+    assert result.events == cell["events"]
 
 
 def test_soa_fingerprint_differs_from_object():

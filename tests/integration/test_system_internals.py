@@ -238,3 +238,36 @@ def test_run_machine_is_freed_by_reference_counting(core, algorithm, overrides):
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "core,overrides",
+    [
+        ("object", {}),
+        ("object", {"tracing": TraceConfig(enabled=True, sample_window=200)}),
+        ("soa", {}),
+    ],
+    ids=["object", "object-timeline", "soa"],
+)
+def test_every_scheduled_event_fires(core, overrides):
+    """No event can be cancelled, so a finished run has fired every
+    event it scheduled, the timeline sampler's ticks included."""
+    workload = build_workload("splash2", 60, num_cmps=4)
+    machine = default_machine(
+        algorithm="lazy",
+        num_cmps=workload.num_cmps,
+        cores_per_cmp=workload.cores_per_cmp,
+        **overrides,
+    )
+    system = REGISTRY.create(
+        "core",
+        core,
+        machine,
+        build_algorithm("lazy"),
+        workload,
+        warmup_fraction=0.2,
+    )
+    result = system.run()
+    assert result.events > 0
+    assert result.stats.events_scheduled == result.stats.events_fired
+    assert result.stats.events_fired == result.events

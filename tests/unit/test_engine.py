@@ -6,15 +6,15 @@ import random
 
 import pytest
 
-from repro.sim.engine import Event, EventEngine
+from repro.sim.engine import EventEngine
 
 
 def test_events_fire_in_time_order():
     engine = EventEngine()
     fired = []
-    engine.schedule(30, lambda: fired.append("c"))
-    engine.schedule(10, lambda: fired.append("a"))
-    engine.schedule(20, lambda: fired.append("b"))
+    engine.call_after(30, lambda: fired.append("c"))
+    engine.call_after(10, lambda: fired.append("a"))
+    engine.call_after(20, lambda: fired.append("b"))
     engine.run()
     assert fired == ["a", "b", "c"]
 
@@ -23,36 +23,63 @@ def test_ties_fire_in_scheduling_order():
     engine = EventEngine()
     fired = []
     for label in ("first", "second", "third"):
-        engine.schedule(5, lambda label=label: fired.append(label))
+        engine.call_after(5, lambda label=label: fired.append(label))
     engine.run()
     assert fired == ["first", "second", "third"]
+
+
+def test_ties_across_call_at_and_call_after_fire_in_scheduling_order():
+    engine = EventEngine()
+    fired = []
+    engine.call_at(5, lambda: fired.append("at"))
+    engine.call_after(5, lambda: fired.append("after"))
+    engine.call_at(5, lambda: fired.append("at again"))
+    engine.run()
+    assert fired == ["at", "after", "at again"]
+
+
+def test_zero_delay_from_callback_fires_after_queued_ties():
+    engine = EventEngine()
+    fired = []
+
+    def first():
+        fired.append("first")
+        engine.call_after(0, lambda: fired.append("nested"))
+
+    engine.call_after(4, first)
+    engine.call_after(4, lambda: fired.append("second"))
+    engine.run()
+    assert fired == ["first", "second", "nested"]
+    assert engine.now == 4
 
 
 def test_clock_advances_to_event_time():
     engine = EventEngine()
     seen = []
-    engine.schedule(42, lambda: seen.append(engine.now))
+    engine.call_after(42, lambda: seen.append(engine.now))
     engine.run()
     assert seen == [42]
     assert engine.now == 42
 
 
-def test_schedule_at_absolute_time():
+def test_call_at_absolute_time():
     engine = EventEngine()
     seen = []
-    engine.schedule_at(100, lambda: seen.append(engine.now))
+    engine.call_after(10, lambda: None)
+    engine.run()
+    engine.call_at(100, lambda: seen.append(engine.now))
     engine.run()
     assert seen == [100]
 
 
 def test_schedule_in_past_rejected():
     engine = EventEngine()
-    engine.schedule(10, lambda: None)
-    engine.step()
+    engine.call_after(10, lambda: None)
+    engine.run()
     with pytest.raises(ValueError):
-        engine.schedule_at(5, lambda: None)
+        engine.call_at(5, lambda: None)
     with pytest.raises(ValueError):
-        engine.schedule(-1, lambda: None)
+        engine.call_after(-1, lambda: None)
 
 
 def test_nested_scheduling_from_callback():
@@ -61,160 +88,82 @@ def test_nested_scheduling_from_callback():
 
     def outer():
         fired.append(("outer", engine.now))
-        engine.schedule(5, lambda: fired.append(("inner", engine.now)))
+        engine.call_after(5, lambda: fired.append(("inner", engine.now)))
 
-    engine.schedule(10, outer)
+    engine.call_after(10, outer)
     engine.run()
     assert fired == [("outer", 10), ("inner", 15)]
 
 
-def test_cancelled_events_do_not_fire():
+def test_random_schedules_fire_in_time_then_scheduling_order():
+    """Against a reference: with ``call_at`` and ``call_after`` mixed
+    and callbacks scheduling more work, every event fires exactly once,
+    ordered by time and then by when it was scheduled."""
+    rng = random.Random(7)
     engine = EventEngine()
+    scheduled = []  # (time, scheduling index), in scheduling order
     fired = []
-    event = engine.schedule(10, lambda: fired.append("cancelled"))
-    engine.schedule(20, lambda: fired.append("kept"))
-    event.cancel()
-    engine.run()
-    assert fired == ["kept"]
 
+    def schedule():
+        key = (engine.now + rng.randrange(20), len(scheduled))
+        scheduled.append(key)
 
-def test_run_until_stops_before_later_events():
-    engine = EventEngine()
-    fired = []
-    engine.schedule(10, lambda: fired.append(10))
-    engine.schedule(50, lambda: fired.append(50))
-    engine.run(until=20)
-    assert fired == [10]
-    assert engine.pending == 1
+        def callback():
+            assert engine.now == key[0]
+            fired.append(key)
+            if rng.random() < 0.5 and len(scheduled) < 400:
+                schedule()
+
+        if rng.random() < 0.5:
+            engine.call_at(key[0], callback)
+        else:
+            engine.call_after(key[0] - engine.now, callback)
+
+    for _ in range(100):
+        schedule()
     engine.run()
-    assert fired == [10, 50]
+    assert len(scheduled) > 100
+    assert fired == sorted(scheduled)
+    assert engine.events_processed == engine.events_scheduled == len(fired)
 
 
 def test_max_events_limit():
     engine = EventEngine()
     count = []
     for _ in range(10):
-        engine.schedule(1, lambda: count.append(1))
+        engine.call_after(1, lambda: count.append(1))
     processed = engine.run(max_events=3)
     assert processed == 3
     assert len(count) == 3
+    # The rest stays queued for the next run.
+    assert engine.run() == 7
+    assert len(count) == 10
 
 
-def test_peek_time_skips_cancelled():
+def test_max_events_zero_fires_nothing():
     engine = EventEngine()
-    first = engine.schedule(5, lambda: None)
-    engine.schedule(9, lambda: None)
-    first.cancel()
-    assert engine.peek_time() == 9
+    fired = []
+    engine.call_after(1, lambda: fired.append(1))
+    assert engine.run(max_events=0) == 0
+    assert fired == [] and engine.now == 0
+    assert engine.run() == 1
+    assert fired == [1]
+
+
+def test_run_on_an_empty_engine_fires_nothing():
+    engine = EventEngine()
+    assert engine.run() == 0
+    assert engine.now == 0
+    assert engine.events_processed == engine.events_scheduled == 0
 
 
 def test_events_processed_counter():
     engine = EventEngine()
     for delay in (1, 2, 3):
-        engine.schedule(delay, lambda: None)
+        engine.call_after(delay, lambda: None)
     engine.run()
     assert engine.events_processed == 3
-
-
-def test_step_returns_false_when_empty():
-    engine = EventEngine()
-    assert engine.step() is False
-
-
-def test_event_uses_slots():
-    engine = EventEngine()
-    event = engine.schedule(1, lambda: None)
-    assert not hasattr(event, "__dict__")
-    with pytest.raises(AttributeError):
-        event.arbitrary_attribute = 1
-
-
-def test_pending_counts_live_events():
-    engine = EventEngine()
-    events = [engine.schedule(i + 1, lambda: None) for i in range(10)]
-    assert engine.pending == 10
-    events[3].cancel()
-    events[7].cancel()
-    assert engine.pending == 8
-    # Double-cancel must not double-count.
-    events[3].cancel()
-    assert engine.pending == 8
-    engine.step()  # fires event 0
-    assert engine.pending == 7
-    engine.run()
-    assert engine.pending == 0
-
-
-def test_pending_consistent_under_random_cancellation():
-    """The live counter must match a brute-force scan at every step,
-    including across lazy pops and heap compactions."""
-    rng = random.Random(7)
-    engine = EventEngine()
-    handles = []
-
-    def scan():
-        return sum(
-            1 for entry in engine._heap if not entry[2].cancelled
-        )
-
-    for round_number in range(300):
-        handles.append(engine.schedule(rng.randrange(50), lambda: None))
-        if handles and rng.random() < 0.6:
-            rng.choice(handles).cancel()
-        if rng.random() < 0.3:
-            engine.step()
-        assert engine.pending == scan(), "round %d" % round_number
-    engine.run()
-    assert engine.pending == scan() == 0
-
-
-def test_compaction_preserves_order_and_counts():
-    engine = EventEngine()
-    fired = []
-    keep = []
-    cancel = []
-    for i in range(400):
-        handle = engine.schedule(
-            1000 - i, lambda i=i: fired.append(1000 - i)
-        )
-        (cancel if i % 3 else keep).append(handle)
-    for handle in cancel:
-        handle.cancel()
-    # Enough cancellations to have forced at least one compaction.
-    assert engine.pending == len(keep)
-    assert len(engine._heap) < 400
-    engine.run()
-    assert fired == sorted(fired)
-    assert len(fired) == len(keep)
-    assert engine.pending == 0
-
-
-def test_compaction_during_run_callback():
-    """A callback that mass-cancels (triggering in-place compaction)
-    must not derail the drain loop's view of the heap."""
-    engine = EventEngine()
-    fired = []
-    victims = [
-        engine.schedule(10 + i, lambda: fired.append("victim"))
-        for i in range(200)
-    ]
-
-    def slaughter():
-        for victim in victims:
-            victim.cancel()
-
-    engine.schedule(5, slaughter)
-    survivor = engine.schedule(500, lambda: fired.append("survivor"))
-    engine.run()
-    assert fired == ["survivor"]
-    assert engine.pending == 0
-    assert survivor.cancelled is False
-
-
-def test_cancelled_event_repr():
-    event = Event(5, 0, lambda: None)
-    event.cancel()
-    assert "cancelled=True" in repr(event)
+    assert engine.events_scheduled == 3
 
 
 def test_deterministic_interleaving_with_nested_events():
@@ -225,10 +174,10 @@ def test_deterministic_interleaving_with_nested_events():
         def chain(n):
             order.append(n)
             if n < 5:
-                engine.schedule(n + 1, lambda: chain(n + 1))
+                engine.call_after(n + 1, lambda: chain(n + 1))
 
-        engine.schedule(0, lambda: chain(0))
-        engine.schedule(3, lambda: order.append(100))
+        engine.call_after(0, lambda: chain(0))
+        engine.call_after(3, lambda: order.append(100))
         engine.run()
         return order
 
@@ -238,15 +187,15 @@ def test_deterministic_interleaving_with_nested_events():
 def test_call_every_fires_at_fixed_cadence():
     engine = EventEngine()
     ticks = []
-    engine.schedule(10, lambda: None)
-    engine.schedule(100, lambda: None)
+    engine.call_after(10, lambda: None)
+    engine.call_after(100, lambda: None)
     engine.call_every(30, lambda: ticks.append(engine.now))
     engine.run()
     # The sampler keeps pace with real work (the events at 10 and
     # 100) but stops rescheduling once it is the only thing left, so
     # it never keeps a drained simulation alive.
     assert ticks == [30, 60, 90, 120]
-    assert engine.pending == 0
+    assert engine.run() == 0
 
 
 def test_call_every_stops_when_engine_is_otherwise_idle():
@@ -255,6 +204,17 @@ def test_call_every_stops_when_engine_is_otherwise_idle():
     engine.call_every(25, lambda: ticks.append(engine.now))
     engine.run()
     assert ticks == [25]
+
+
+def test_call_every_ticks_count_as_events():
+    engine = EventEngine()
+    ticks = []
+    engine.call_after(100, lambda: None)
+    engine.call_every(25, lambda: ticks.append(engine.now))
+    engine.run()
+    assert ticks == [25, 50, 75, 100]
+    # One real event and four ticks, every one of them fired.
+    assert engine.events_scheduled == engine.events_processed == 5
 
 
 def test_call_every_rejects_nonpositive_interval():
@@ -268,32 +228,33 @@ def test_call_every_rejects_nonpositive_interval():
 def test_clear_drops_pending_events():
     engine = EventEngine()
     fired = []
-    engine.schedule(5, lambda: fired.append("handle"))
-    engine.call_after(3, lambda: fired.append("bare"))
-    engine.schedule(7, lambda: None).cancel()
+    engine.call_after(5, lambda: fired.append("later"))
+    engine.call_after(3, lambda: fired.append("first"))
+    engine.call_after(7, lambda: None)
     engine.run(max_events=1)  # a stopped run: two events left queued
-    assert fired == ["bare"] and engine.pending == 1
+    assert fired == ["first"]
     engine.clear()
-    assert engine.pending == 0
-    assert engine.peek_time() is None
     assert engine.run() == 0
-    assert fired == ["bare"]
+    assert fired == ["first"]
     # The clock stays where the stopped run left it, and the engine
     # still takes new work.
     assert engine.now == 3
-    engine.schedule(2, lambda: fired.append("after"))
+    engine.call_after(2, lambda: fired.append("after"))
     assert engine.run() == 1
-    assert fired == ["bare", "after"] and engine.now == 5
+    assert fired == ["first", "after"] and engine.now == 5
 
 
-def test_cancel_after_clear_keeps_pending_exact():
+def test_clear_from_a_callback_ends_the_run():
     engine = EventEngine()
-    stale = [engine.schedule(i + 1, lambda: None) for i in range(3)]
-    engine.clear()
-    for event in stale:
-        event.cancel()
-    assert engine.pending == 0
-    live = engine.schedule(1, lambda: None)
-    assert engine.pending == 1
-    live.cancel()
-    assert engine.pending == 0
+    fired = []
+
+    def stop():
+        fired.append("stop")
+        engine.clear()
+
+    engine.call_after(1, lambda: fired.append("before"))
+    engine.call_after(2, stop)
+    engine.call_after(3, lambda: fired.append("after"))
+    assert engine.run() == 2
+    assert fired == ["before", "stop"]
+    assert engine.now == 2

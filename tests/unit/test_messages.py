@@ -25,6 +25,38 @@ def test_initial_state_is_combined():
     assert message.supplier is None
 
 
+def test_init_sets_every_slot():
+    """Each ring transaction builds a new message, so the constructor
+    alone gives every field its value."""
+    message = make_message()
+    for name in RingMessage.__slots__:
+        getattr(message, name)
+
+
+def test_init_stores_every_argument():
+    message = make_message(
+        mode=MessageMode.SPLIT,
+        request_time=11,
+        reply_time=13,
+        satisfied=True,
+        satisfied_reply=True,
+        supplier=3,
+        hops_request=4,
+        hops_reply=5,
+        squashed=True,
+    )
+    assert message.transaction_id == 7
+    assert message.kind is SnoopKind.READ
+    assert message.address == 0x40
+    assert message.requester == 2
+    assert message.mode is MessageMode.SPLIT
+    assert (message.request_time, message.reply_time) == (11, 13)
+    assert message.satisfied and message.satisfied_reply
+    assert message.supplier == 3
+    assert (message.hops_request, message.hops_reply) == (4, 5)
+    assert message.squashed
+
+
 def test_split_and_recombine():
     message = make_message()
     message.split(reply_departure=150)

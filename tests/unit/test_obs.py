@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import TraceConfig, default_machine
+from repro.core.algorithms import build_algorithm
 from repro.obs.audit import TraceAuditor, Violation
 from repro.obs.jsonl import (
     TraceReader,
@@ -25,6 +27,8 @@ from repro.obs.trace import (
     JsonlStreamSink,
     TraceEvent,
 )
+from repro.sim.system import RingMultiprocessor
+from repro.workloads.synthetic import SharingProfile
 
 # ----------------------------------------------------------------------
 # Trace-building helpers
@@ -116,6 +120,41 @@ def test_jsonl_stream_sink_writes_the_meta_it_holds_at_close(tmp_path):
         sink.meta = {"num_cmps": 2, "num_events": len(events)}
     assert read_trace(str(path)) == (sink.meta, events)
     assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+
+
+def _traced_machine(sink=None, sink_spec="memory"):
+    config = default_machine(algorithm="lazy", cores_per_cmp=1).replace(
+        tracing=TraceConfig(enabled=True, sink=sink_spec)
+    )
+    profile = SharingProfile(
+        name="sinks", num_cores=8, cores_per_cmp=1, accesses_per_core=20
+    )
+    return RingMultiprocessor(
+        config, build_algorithm("lazy"), profile, trace_sink=sink
+    )
+
+
+def test_machine_leaves_the_sink_it_was_handed_open(tmp_path):
+    """The caller owns a sink it passes in: the run does not close it,
+    so metadata set after the run reaches the header."""
+    path = tmp_path / "trace.jsonl"
+    sink = JsonlStreamSink(str(path), meta={"phase": "before"})
+    result = _traced_machine(sink).run()
+    sink.meta = {"phase": "after", "exec_time": result.exec_time}
+    sink.close()
+    meta, events = read_trace(str(path))
+    assert meta == {"phase": "after", "exec_time": result.exec_time}
+    assert events
+
+
+def test_machine_closes_the_sink_it_resolved(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    system = _traced_machine(sink_spec="jsonl:%s" % path)
+    system.run()
+    with pytest.raises(ValueError, match="closed"):
+        system.trace.emit(_clean_txn()[0])
+    _meta, events = read_trace(str(path))
+    assert events
 
 
 def test_sinks_resolve_through_registry():
