@@ -22,11 +22,12 @@ MSHR queues that only exist under contention):
    core's point for point.
 3. Assert the heavier point offers more and is served no faster
    (monotone loaded latency), and that both points completed.
-4. Re-run both injection points on the object core (tracing stays
-   outside the soa core) with event tracing plus synchronous
-   invariant checks on, and feed each trace to the policy-aware
-   :class:`~repro.obs.audit.TraceAuditor` (decision table and
-   write-snoop form included): zero violations required.
+4. Re-run both injection points through
+   :func:`repro.obs.runner.run_traced` with event tracing plus
+   synchronous invariant checks on (it runs them on the soa core,
+   whose envelope covers both), and feed each trace to the
+   policy-aware :class:`~repro.obs.audit.TraceAuditor` (decision
+   table and write-snoop form included): zero violations required.
 
 Exit status 0 on success, 1 with a diagnostic on failure.  Run it
 from the repository root: ``python scripts/loaded_smoke.py``
@@ -182,8 +183,8 @@ def audit(algorithm: str) -> int:
                 print("  %s" % violation)
             return 1
         print(
-            "  clean: %d events, exec_time %d"
-            % (len(traced.events), traced.result.exec_time)
+            "  clean: %d events, exec_time %d (core %s)"
+            % (len(traced.events), traced.result.exec_time, traced.core)
         )
     print("OK: zero auditor violations under contention")
     return 0

@@ -113,6 +113,7 @@ def probe(trace_path: str) -> None:
                     "rss_kib": rss_kb,
                     "exec_time": traced.result.exec_time,
                     "num_events": traced.meta["num_events"],
+                    "core": traced.core,
                 }
             )
         )
@@ -157,12 +158,14 @@ def main() -> int:
 
         print("replaying small trace...")
         small = run_probe(small_path)
-        print("  peak RSS %.1f MiB, %d events"
-              % (small["rss_kib"] / 1024.0, small["num_events"]))
+        print("  peak RSS %.1f MiB, %d events (core %s)"
+              % (small["rss_kib"] / 1024.0, small["num_events"],
+                 small["core"]))
         print("replaying large trace (%dx)..." % SCALE_RATIO)
         large = run_probe(large_path)
-        print("  peak RSS %.1f MiB, %d events"
-              % (large["rss_kib"] / 1024.0, large["num_events"]))
+        print("  peak RSS %.1f MiB, %d events (core %s)"
+              % (large["rss_kib"] / 1024.0, large["num_events"],
+                 large["core"]))
 
         ratio = large["rss_kib"] / max(small["rss_kib"], 1)
         print(

@@ -319,3 +319,40 @@ class SetAssociativeCache:
             return list(cache_set)
         data = sets.pending.get(set_index)
         return [] if data is None else list(data[0])
+
+
+def copies_of(
+    caches: "List[Tuple[Tuple[int, int], SetAssociativeCache]]",
+    address: int,
+) -> Dict[Tuple[int, int], LineState]:
+    """The state of every resident copy of ``address`` in ``caches``,
+    keyed as given and in their order.
+
+    The caches share one geometry, so the set index is computed once;
+    each set is read where it lives, built or still pending, and never
+    built here (no LRU touch either).  This is
+    :meth:`SetAssociativeCache.state_of` over many caches without a
+    method call per cache - the per-retire invariant check's scan.
+    """
+    if not caches:
+        return {}
+    index = address % caches[0][1]._num_sets
+    copies: Dict[Tuple[int, int], LineState] = {}
+    for key, cache in caches:
+        sets = cache._sets
+        cache_set = sets.get(index)
+        if cache_set is not None:
+            line = cache_set.get(address)
+            if line is not None:
+                copies[key] = line.state
+            continue
+        data = sets.pending.get(index)
+        if data is not None:
+            addresses, codes = data
+            if address in addresses:
+                copies[key] = (
+                    sets.default
+                    if codes is None
+                    else sets.states[codes[addresses.index(address)]]
+                )
+    return copies

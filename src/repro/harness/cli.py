@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.core.analytical import AnalyticalParams, table1, table3
 from repro.harness.experiments import (
@@ -634,41 +634,42 @@ def _cmd_trace_convert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_trace_or_report(path: str) -> Optional[Tuple[dict, list]]:
-    """``read_trace(path)``, or ``None`` after printing why the file
-    cannot be read (missing, unreadable, or a malformed line) as one
-    ``flexsnoop:`` line on stderr."""
-    from repro.obs.jsonl import read_trace
+def _cmd_trace_show(args: argparse.Namespace) -> int:
+    from repro.obs.jsonl import TraceReader
+    from repro.obs.render import render_timeline, select_events
 
+    address = int(args.address, 0) if args.address else None
+    # The file streams past the filter; only what is printed is kept.
+    # A missing, unreadable or malformed file is one ``flexsnoop:``
+    # line on stderr.
     try:
-        return read_trace(path)
+        reader = TraceReader(args.file)
+        selection = select_events(
+            reader,
+            address=address,
+            txn=args.txn,
+            node=args.node,
+            limit=args.limit,
+        )
     except (ValueError, OSError) as exc:
         print("flexsnoop: %s" % exc, file=sys.stderr)
-        return None
-
-
-def _cmd_trace_show(args: argparse.Namespace) -> int:
-    from repro.obs.render import filter_events, render_timeline
-
-    trace = _read_trace_or_report(args.file)
-    if trace is None:
         return 1
-    meta, events = trace
-    address = int(args.address, 0) if args.address else None
-    selected = filter_events(
-        events, address=address, txn=args.txn, node=args.node
-    )
+    meta = reader.meta
     if meta:
         print(
             "trace: %s/%s  (%d of %d event(s) match)"
             % (
                 meta.get("algorithm", "?"),
                 meta.get("workload", "?"),
-                len(selected),
-                len(events),
+                selection.matched,
+                selection.total,
             )
         )
-    print(render_timeline(selected, limit=args.limit))
+    print(
+        render_timeline(
+            selection.events, limit=args.limit, elided=selection.elided
+        )
+    )
     return 0
 
 

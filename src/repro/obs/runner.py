@@ -10,6 +10,14 @@ such as ``"memory"`` or ``"jsonl:/tmp/run.jsonl"``) and, when
 ``sample_window`` is set, a metrics timeline, and returns everything
 bundled as a :class:`TracedRun`.
 
+The run goes to the fast array core (``soa``) whenever its envelope
+covers the resolved machine - :func:`~repro.sim.soa.check_soa_supported`
+decides before anything is built - and to the object core otherwise
+(the metrics timeline, the write filter, version tracking, a topology
+without static tables).  Both cores emit the same events, so the
+choice changes the run's speed, not its trace; :attr:`TracedRun.core`
+names the core that ran.  No work is rerun.
+
 With a file-backed sink the events stream to disk as they are
 emitted and :attr:`TracedRun.events` stays empty - recording a
 million-event run needs bounded memory.  ``audit=True`` also feeds
@@ -42,6 +50,11 @@ from repro.obs.trace import (
     TraceSink,
     resolve_sink,
 )
+from repro.sim.soa import (
+    SoaRingMultiprocessor,
+    SoaUnsupportedError,
+    check_soa_supported,
+)
 from repro.sim.system import RingMultiprocessor, SimulationResult
 
 _ISSUE = EventType.ISSUE
@@ -56,8 +69,9 @@ class TracedRun:
     events are on disk; ``meta["num_events"]`` still counts them).
     ``transactions`` counts the transactions issued (``issue``
     events; in a trace that audits clean, the distinct transaction
-    ids), and ``violations`` is the audit's verdict (``None`` when not
-    audited).
+    ids), ``violations`` is the audit's verdict (``None`` when not
+    audited), and ``core`` names the simulation core that ran
+    (``"soa"`` or ``"object"``).
     """
 
     result: SimulationResult
@@ -66,6 +80,7 @@ class TracedRun:
     meta: Dict[str, Any]
     transactions: int = 0
     violations: Optional[List[Violation]] = None
+    core: str = "object"
 
     def summary(self) -> Dict[str, float]:
         return self.result.summary()
@@ -125,7 +140,8 @@ def run_traced(
         check_invariants: also enable the simulator's synchronous
             per-line protocol checks (audit mode runs with this on).
         sample_window: simulated cycles between metrics-timeline
-            samples (0 = no timeline).
+            samples (0 = no timeline; a timeline runs on the object
+            core).
         config: full machine config override, as in
             :func:`~repro.harness.experiments.run_experiment`.
         sink: the trace sink, or its spec (registry kind ``sink``).
@@ -167,6 +183,12 @@ def run_traced(
             tracing=TraceConfig(enabled=True, sample_window=sample_window),
             check_invariants=machine.check_invariants or check_invariants,
         )
+        try:
+            check_soa_supported(machine)
+        except SoaUnsupportedError:
+            core = "object"
+        else:
+            core = "soa"
         # Resolvable pre-run metadata; the result-dependent fields are
         # added after the run, before the sink closes and writes its header.
         meta: Dict[str, Any] = {
@@ -195,7 +217,9 @@ def run_traced(
         trace_sink.meta = meta
         auditor = auditor_for(meta) if audit else None
         tee = _Tee(trace_sink, auditor)
-        system = RingMultiprocessor(
+        system: Union[RingMultiprocessor, SoaRingMultiprocessor] = (
+            SoaRingMultiprocessor if core == "soa" else RingMultiprocessor
+        )(
             machine,
             build_algorithm(algorithm),
             source,
@@ -207,7 +231,9 @@ def run_traced(
         meta["workload"] = result.workload
         meta["exec_time"] = result.exec_time
         meta["num_events"] = tee.events
-    samples = system.timeline.samples if system.timeline is not None else []
+    samples: List[TimelineSample] = []
+    if isinstance(system, RingMultiprocessor) and system.timeline is not None:
+        samples = system.timeline.samples
     events: List[TraceEvent] = []
     replay: Optional[Iterable[TraceEvent]] = None
     if isinstance(trace_sink, InMemorySink):
@@ -221,4 +247,5 @@ def run_traced(
         meta=meta,
         transactions=tee.issues,
         violations=auditor.finish(replay) if auditor is not None else None,
+        core=core,
     )

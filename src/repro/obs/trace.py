@@ -3,12 +3,17 @@
 Interface contract
 ==================
 
-The simulator subsystems (:class:`~repro.sim.transactions.TransactionManager`,
+The object core's subsystems
+(:class:`~repro.sim.transactions.TransactionManager`,
 :class:`~repro.sim.walker.RingWalker`,
 :class:`~repro.sim.datapath.DataPathModel`) each hold an optional
 ``trace`` reference; when it is not ``None`` they call
 :meth:`TraceSink.emit` with one :class:`TraceEvent` per lifecycle
-point.  The event vocabulary (:class:`EventType`) mirrors the
+point.  The array core (:mod:`repro.sim.soa`) emits the same events
+from its fused loop: same simulated instants, transaction ids, nodes,
+addresses and payloads, in the same order, so a traced run writes the
+same JSONL bytes on either core (``tests/golden/test_trace_equivalence.py``
+pins this).  The event vocabulary (:class:`EventType`) mirrors the
 transaction life cycle of the paper's Section 4: issue, per-hop ring
 crossings, predictor lookups, Table 2 snoops, supplier data supply,
 squash/retry, cache fill, Exact-predictor downgrade, and retirement.
@@ -24,10 +29,11 @@ Sinks are resolved by name through the component registry (kind
 ``"sink"``), so ``TraceConfig.sink`` in a machine config selects one
 and plugins can add more (entry-point group ``flexsnoop.sinks``).
 
-Performance contract: with tracing off the subsystems never construct
-a :class:`TraceEvent`; the only residual cost is the ``is not None``
-guard (target <=3%), which every untraced leg of the end-to-end
-benchmark in ``benchmarks/e2e`` pays.
+Performance contract: with tracing off neither core constructs a
+:class:`TraceEvent`; the only residual cost is one guard per emission
+site - an ``is not None`` test on the object core, a hoisted local
+bool on the array core (target <=3%) - which every untraced leg of the
+end-to-end benchmark in ``benchmarks/e2e`` pays.
 """
 
 from __future__ import annotations

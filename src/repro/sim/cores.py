@@ -9,13 +9,18 @@ registered:
 
 * ``object`` - the default :class:`~repro.sim.system.RingMultiprocessor`:
   one Python object per subsystem (engine, walker, datapath,
-  transaction manager), full observability (tracing sinks, invariant
-  checking, link contention).
+  transaction manager); runs every configuration, including the
+  metrics timeline, the write filter, version tracking and topologies
+  without static tables.
 * ``soa`` - :class:`~repro.sim.soa.SoaRingMultiprocessor`: the
   struct-of-arrays fused hot loop.  Bit-identical ``summary()`` output
-  for the supported configuration envelope, link and snoop-port
-  contention included (the golden and property suites enforce this),
-  raises :class:`~repro.sim.soa.SoaUnsupportedError` outside it.
+  and a byte-identical trace for the supported configuration
+  envelope - link and snoop-port contention, trace sinks and the
+  per-retire invariant checks included (the golden and property
+  suites enforce this) - and raises
+  :class:`~repro.sim.soa.SoaUnsupportedError` at construction outside
+  it.  :func:`~repro.obs.runner.run_traced` (``flexsnoop trace
+  record``) runs on it whenever the envelope covers the machine.
 
 Select a core through :class:`~repro.harness.parallel.RunSpec`'s
 ``core`` field, ``ExperimentMatrix(core=...)``, or the CLI's
@@ -34,8 +39,9 @@ REGISTRY.register(
     "object",
     RingMultiprocessor,
     metadata={
-        "description": "per-subsystem object model (default; full "
-        "observability: tracing, invariant checks, link contention)",
+        "description": "per-subsystem object model (default; runs "
+        "everything, including the metrics timeline, write filter, "
+        "version tracking and dynamic topologies)",
     },
 )
 
@@ -46,7 +52,8 @@ REGISTRY.register(
     aliases=("vectorized", "fused"),
     metadata={
         "description": "struct-of-arrays fused event loop (link "
-        "contention included); bit-identical summaries within its "
-        "supported envelope",
+        "contention, tracing and invariant checks included); "
+        "bit-identical summaries and traces within its supported "
+        "envelope",
     },
 )

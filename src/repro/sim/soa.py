@@ -54,10 +54,23 @@ the loaded regime's contention models: per-link occupancy
 (``ring.link_occupancy``) and snoop-port serialization
 (``ring.serialize_snoop_port``) run as flat "next free cycle" lists
 hoisted from the topology's ``segment_links()`` descriptors, booked
-at the same three sites as ``RingWalker``.  The
-presence-filter extension, per-retire checks and observability hooks
-fall back to the object core; :func:`check_soa_supported` raises
-:class:`SoaUnsupportedError` with the concrete reason.
+at the same three sites as ``RingWalker``.
+
+Observability is inside the envelope too.  A trace sink (passed in,
+or resolved from ``config.tracing``) receives the object core's
+:class:`~repro.obs.trace.TraceEvent` stream: the same events at the
+same simulated instants, with the same transaction ids and payloads,
+in the same order, so the JSONL file a traced run writes is
+byte-identical on both cores.  Each emission site costs one hoisted
+local bool when tracing is off.  ``check_invariants`` runs the same
+per-retire line check as the object core and raises the same
+:class:`~repro.coherence.protocol.CoherenceError` messages.
+
+The write filter (presence predictors), version tracking, the metrics
+timeline (``tracing.sample_window``) and topologies that cannot export
+static tables fall back to the object core;
+:func:`check_soa_supported` raises :class:`SoaUnsupportedError` with
+the concrete reason, before anything is built.
 """
 
 from __future__ import annotations
@@ -65,7 +78,8 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.coherence.protocol import CoherenceError
+from repro.coherence.protocol import CoherenceError, ProtocolTables
+from repro.coherence.states import LineState
 from repro.config import MachineConfig
 from repro.core.algorithms import SnoopingAlgorithm
 from repro.core.decision import DecisionContext
@@ -78,6 +92,13 @@ from repro.core.primitives import Primitive
 from repro.energy.model import EnergyModel
 from repro.metrics.histogram import LatencyHistogram
 from repro.metrics.stats import PredictorAccuracy, RunStats
+from repro.obs.trace import (
+    NO_TXN,
+    EventType,
+    TraceEvent,
+    TraceSink,
+    resolve_sink,
+)
 from repro.ring.topology import TopologyTablesUnavailable, build_topology
 from repro.sim.prewarm import SetImage, prewarm_image
 from repro.sim.system import SimulationResult
@@ -94,30 +115,32 @@ class SoaUnsupportedError(ValueError):
     """The requested configuration needs the object core."""
 
 
-def check_soa_supported(
-    config: MachineConfig, trace_sink: object = None
-) -> None:
+def check_soa_supported(config: MachineConfig) -> None:
     """Raise :class:`SoaUnsupportedError` unless ``config`` is inside
     the SoA core's envelope.
 
-    The excluded features all thread per-event mutable state through
-    the object core's subsystem seams (presence filters, invariant and
-    version checks, trace emission, timeline probes); supporting them
-    here would reintroduce exactly the indirection this core removes.
-    Link and snoop-port contention are inside the envelope: they are
-    plain integer tables the fused loop books in place.
+    The excluded features thread per-event mutable state through the
+    object core's subsystem seams (presence filters, version checks,
+    timeline probes) or route each hop dynamically (a topology without
+    static tables); supporting them here would reintroduce exactly the
+    indirection this core removes.  Link and snoop-port contention,
+    trace emission and the per-retire invariant checks are inside the
+    envelope.
     """
     reasons = []
     if config.filter_write_snoops:
         reasons.append("filter_write_snoops (presence-filter extension)")
-    if config.check_invariants:
-        reasons.append("check_invariants (per-retire invariant checks)")
     if config.track_versions:
         reasons.append("track_versions (version violation tracking)")
-    if trace_sink is not None or config.tracing.enabled:
-        reasons.append("transaction tracing")
     if config.tracing.sample_window > 0:
         reasons.append("tracing.sample_window (metrics timeline)")
+    try:
+        build_topology(config).export_tables()
+    except TopologyTablesUnavailable:
+        reasons.append(
+            "topology %r (path-dependent routing, no static tables)"
+            % config.topology.kind
+        )
     if reasons:
         raise SoaUnsupportedError(
             "core=soa does not support: %s; use core=object"
@@ -141,6 +164,16 @@ _DIRTY = (False, False, False, False, True, True)
 #: T->T; other entries are never read).
 _NEXT_ON_READ = (_S, _SL, _SG, _SG, _T, _T)
 
+#: The protocol's line state by integer code (invariant checks).
+_LINE_STATE = (
+    LineState.S,
+    LineState.SL,
+    LineState.SG,
+    LineState.E,
+    LineState.D,
+    LineState.T,
+)
+
 # Primitive codes (``repro.core.primitives.Primitive`` mapped to ints).
 _P_FWD, _P_FTS, _P_STF = 0, 1, 2
 _PRIM_INT = {
@@ -148,6 +181,21 @@ _PRIM_INT = {
     Primitive.FORWARD_THEN_SNOOP: _P_FTS,
     Primitive.SNOOP_THEN_FORWARD: _P_STF,
 }
+#: A trace's ``primitive`` field by primitive code.
+_PRIM_VALUE = tuple(p.value for p in sorted(_PRIM_INT, key=_PRIM_INT.get))
+
+# Trace event types, hoisted for the emission sites.
+_ISSUE = EventType.ISSUE
+_HOP = EventType.HOP
+_PREDICTOR = EventType.PREDICTOR
+_SNOOP = EventType.SNOOP
+_SUPPLY = EventType.SUPPLY
+_SQUASH = EventType.SQUASH
+_RETRY = EventType.RETRY
+_MSHR = EventType.MSHR
+_FILL = EventType.FILL
+_DOWNGRADE = EventType.DOWNGRADE
+_RETIRE = EventType.RETIRE
 
 # Transaction record slots.
 _T_WRITE = 0  # bool: write transaction
@@ -169,6 +217,7 @@ _T_SATR = 15  # satisfied_reply
 _T_SQ = 16  # squashed
 _T_RETRY = 17  # requester retry count snapshot (decision context)
 _T_LINKS = 18  # per-node link slots of the embedded ring (contention)
+_T_ID = 19  # transaction id (the object core's txn_id)
 
 # Core record slots.
 _K_ID = 0
@@ -220,11 +269,11 @@ class SoaRingMultiprocessor:
         algorithm: SnoopingAlgorithm,
         workload: object,
         warmup_fraction: float = 0.0,
-        trace_sink: object = None,
+        trace_sink: Optional[TraceSink] = None,
     ) -> None:
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        check_soa_supported(config, trace_sink)
+        check_soa_supported(config)
         source = as_source(workload)
         if not source.streaming:
             source.materialize().validate()
@@ -246,6 +295,14 @@ class SoaRingMultiprocessor:
         algorithm.bind_predictor_kind(config.predictor.kind)
         self.source = source
         self.warmup_fraction = warmup_fraction
+        # Observability, as on the object core: a sink passed
+        # explicitly wins, and its caller closes it; otherwise one is
+        # resolved when config.tracing asks for it, and the run closes
+        # it.  ``self.trace`` is None when tracing is off.
+        self._closes_trace = trace_sink is None and config.tracing.enabled
+        if self._closes_trace:
+            trace_sink = resolve_sink(config.tracing.sink)
+        self.trace: Optional[TraceSink] = trace_sink
 
         num_cmps = config.num_cmps
         cpc = config.cores_per_cmp
@@ -285,8 +342,8 @@ class SoaRingMultiprocessor:
         self.port_wait_cycles = 0
         self._ran = False
         # Prewarm-time stat/energy charges: an Exact image's conflict
-        # downgrades, charged as the object core charges them on its
-        # construction-time stats.
+        # downgrades, charged (and traced at time 0) as the object core
+        # charges them on its construction-time stats.
         self._init_downgrades = 0
         self._init_e_downgrade_ops = 0.0
         image = prewarm_image(source, config)
@@ -297,13 +354,26 @@ class SoaRingMultiprocessor:
             image.train(self._predictors, config.predictor)
             cost = config.energy.downgrade_cache_access
             charged = 0.0
-            for addresses in image.downgrades:
+            trace = self.trace
+            for cmp_id, addresses in enumerate(image.downgrades):
                 self._init_downgrades += len(addresses)
                 self._downgraded.update(addresses)
                 # One addition per downgrade, as the object core's
                 # energy model charges them.
                 for _ in addresses:
                     charged += cost
+                if trace is not None:
+                    for address in addresses:
+                        trace.emit(
+                            TraceEvent(
+                                0,
+                                _DOWNGRADE,
+                                NO_TXN,
+                                cmp_id,
+                                address,
+                                {"writeback": False},
+                            )
+                        )
             self._init_e_downgrade_ops = charged
 
     # ------------------------------------------------------------------
@@ -336,6 +406,8 @@ class SoaRingMultiprocessor:
                 # its run finished or stopped.
                 for predictor in self._predictors:
                     predictor.set_downgrade_callback(None)  # type: ignore[attr-defined]
+            if self._closes_trace and self.trace is not None:
+                self.trace.close()
 
     def _run_loop(self, max_events: Optional[int]) -> SimulationResult:
         """The fused loop: one function frame holds the event heap, all
@@ -366,17 +438,10 @@ class SoaRingMultiprocessor:
 
         # Topology tables hoisted for the fused loop: successor of each
         # node, outbound per-segment latency, inbound (entry) latency,
-        # and the full data-network latency matrix.  A topology that
-        # cannot export static tables needs the object core's dynamic
-        # routing, so it is outside this core's envelope.
+        # and the full data-network latency matrix (the constructor's
+        # envelope check made sure the topology exports them).
         topology = build_topology(config)
-        try:
-            succ, out_lat, in_lat = topology.export_tables()
-        except TopologyTablesUnavailable as error:
-            raise SoaUnsupportedError(
-                "core=soa needs a table-exporting topology: %s; "
-                "use core=object" % error
-            ) from error
+        succ, out_lat, in_lat = topology.export_tables()
         torus_lat = [
             [
                 topology.transfer_latency(src, dst)
@@ -495,6 +560,13 @@ class SoaRingMultiprocessor:
         downgraded = self._downgraded
         mem_versions = self._mem_versions
 
+        # Observability: ``tracing`` is the one local bool an emission
+        # site tests when tracing is off.  Events follow the object
+        # core's emission sites one for one.
+        trace = self.trace
+        tracing = trace is not None
+        emit = trace.emit if trace is not None else None
+
         def materialize(core_id: int, set_index: int) -> Dict[int, List[int]]:
             """Build a cache set on first touch.  Prewarm content waits
             in ``pending_sets`` as tuples (shared read-only with
@@ -542,6 +614,7 @@ class SoaRingMultiprocessor:
         now = 0
         processed = 0
         write_counter = 0
+        txn_seq = 0  # the object core's TransactionManager._txn_seq
         active: Dict[int, List[list]] = {}
 
         total_accesses = source.total_accesses()
@@ -632,7 +705,8 @@ class SoaRingMultiprocessor:
                             break
                     if line is None:
                         return
-                    if _DIRTY[line[1]]:
+                    writeback = _DIRTY[line[1]]
+                    if writeback:
                         version = line[2]
                         if version >= mem_versions.get(address, 0):
                             mem_versions[address] = version
@@ -645,6 +719,17 @@ class SoaRingMultiprocessor:
                     downgrades += 1
                     e_dops += cost_dop
                     downgraded.add(address)
+                    if tracing:
+                        emit(
+                            TraceEvent(
+                                now,
+                                _DOWNGRADE,
+                                NO_TXN,
+                                cmp_id,
+                                address,
+                                {"writeback": writeback},
+                            )
+                        )
 
                 return downgrade
 
@@ -746,21 +831,94 @@ class SoaRingMultiprocessor:
                 else:
                     holder_count[address] = count
 
+        # Per-retire invariant checks (config.check_invariants): every
+        # core's copy of the line, read from its set or its pending
+        # prewarm content without building the set; the key order
+        # (CMP, then core) is the object core's, so a violation raises
+        # the identical CoherenceError.  The scan does not trust the
+        # supplier and holder indexes: the check exists to catch state
+        # they got wrong.
+        line_scan = (
+            list(zip(
+                [divmod(core_id, cpc) for core_id in range(num_cores)],
+                core_sets,
+                pending_sets,
+            ))
+            if config.check_invariants
+            else None
+        )
+
+        def check_line(address: int) -> None:
+            set_index = address % num_sets
+            holders: Dict[Tuple[int, int], int] = {}
+            for key, sets, pending in line_scan:
+                cache_set = sets[set_index]
+                if cache_set is not None:
+                    line = cache_set.get(address)
+                    if line is not None:
+                        holders[key] = line[1]
+                    continue
+                data = pending.get(set_index)
+                if data is not None:
+                    addresses, states = data
+                    if address in addresses:
+                        holders[key] = (
+                            _E
+                            if states is None
+                            else states[addresses.index(address)]
+                        )
+            if len(holders) > 1:
+                ProtocolTables.check_line(
+                    {key: _LINE_STATE[code] for key, code in holders.items()},
+                    address,
+                )
+
         def retire(txn: list) -> None:
             nonlocal seq
             if txn[_T_RET]:
                 return
             txn[_T_RET] = True
             address = txn[_T_ADDR]
+            if tracing:
+                emit(
+                    TraceEvent(
+                        now,
+                        _RETIRE,
+                        txn[_T_ID],
+                        txn[_T_REQ],
+                        address,
+                        {
+                            "kind": "write" if txn[_T_WRITE] else "read",
+                            "squashed": txn[_T_SQ],
+                        },
+                    )
+                )
             active_list = active.get(address)
             if active_list and txn in active_list:
                 active_list.remove(txn)
                 if not active_list:
                     del active[address]
+            if line_scan is not None:
+                check_line(address)
             waiters = txn[_T_WAIT]
             if waiters:
                 txn[_T_WAIT] = []
-                for waiter in waiters:
+                for position, waiter in enumerate(waiters):
+                    if tracing:
+                        emit(
+                            TraceEvent(
+                                now,
+                                _MSHR,
+                                txn[_T_ID],
+                                txn[_T_REQ],
+                                address,
+                                {
+                                    "phase": "reissue",
+                                    "core": waiter[_K_ID],
+                                    "position": position,
+                                },
+                            )
+                        )
                     seq += 1
                     push(heap, (now, seq, _OP_REISSUE, waiter, 0))
 
@@ -890,6 +1048,24 @@ class SoaRingMultiprocessor:
                             departure = snoop_done
                     write_snoops += 1
                     e_snoop += cost_snoop
+                    if tracing:
+                        emit(
+                            TraceEvent(
+                                at,
+                                _SNOOP,
+                                txn[_T_ID],
+                                node_id,
+                                address,
+                                {
+                                    "kind": "write",
+                                    "primitive": _PRIM_VALUE[
+                                        _P_FTS if decouple else _P_STF
+                                    ],
+                                    "snoop_done": snoop_done,
+                                    "supplied": False,
+                                },
+                            )
+                        )
                     if (
                         supplier_here
                         and txn[_T_NEEDS]
@@ -919,6 +1095,22 @@ class SoaRingMultiprocessor:
                             snoop_done + torus_lat[node_id][requester]
                         )
                         writes_supplied_by_cache += 1
+                        if tracing:
+                            emit(
+                                TraceEvent(
+                                    snoop_done,
+                                    _SUPPLY,
+                                    txn[_T_ID],
+                                    node_id,
+                                    address,
+                                    {
+                                        "kind": "write",
+                                        "form": "reply",
+                                        "version": line[2],
+                                        "data_arrival": txn[_T_DA],
+                                    },
+                                )
+                            )
                     seq += 1
                     push(
                         heap,
@@ -952,6 +1144,21 @@ class SoaRingMultiprocessor:
                                 else:
                                     a_tn += 1
                         plat = pred_latency
+                        if tracing:
+                            emit(
+                                TraceEvent(
+                                    at,
+                                    _PREDICTOR,
+                                    txn[_T_ID],
+                                    node_id,
+                                    address,
+                                    {
+                                        "kind": kind,
+                                        "prediction": prediction,
+                                        "truth": supplier_here,
+                                    },
+                                )
+                            )
                     else:
                         prediction = True
                         plat = 0
@@ -1044,6 +1251,22 @@ class SoaRingMultiprocessor:
                             departure = start
                         read_snoops += 1
                         e_snoop += cost_snoop
+                        if tracing:
+                            emit(
+                                TraceEvent(
+                                    at,
+                                    _SNOOP,
+                                    txn[_T_ID],
+                                    node_id,
+                                    address,
+                                    {
+                                        "kind": "read",
+                                        "primitive": _PRIM_VALUE[primitive],
+                                        "snoop_done": snoop_done,
+                                        "supplied": supplied,
+                                    },
+                                )
+                            )
                         if (
                             is_superset
                             and uses_pred
@@ -1085,6 +1308,26 @@ class SoaRingMultiprocessor:
                                 snoop_done - txn[_T_ISSUE]
                             )
                             supplier_latency_count += 1
+                            if tracing:
+                                emit(
+                                    TraceEvent(
+                                        snoop_done,
+                                        _SUPPLY,
+                                        txn[_T_ID],
+                                        node_id,
+                                        address,
+                                        {
+                                            "kind": "read",
+                                            "form": (
+                                                "combined"
+                                                if txn[_T_SAT]
+                                                else "reply"
+                                            ),
+                                            "version": line[2],
+                                            "data_arrival": data_arrival,
+                                        },
+                                    )
+                                )
                             seq += 1
                             push(
                                 heap,
@@ -1115,6 +1358,23 @@ class SoaRingMultiprocessor:
                 departure = cross_link(txn[_T_LINKS][node_id], departure)
             arrival = departure + out_lat[node_id]
             to_node = succ[node_id]
+            if tracing:
+                emit(
+                    TraceEvent(
+                        departure,
+                        _HOP,
+                        txn[_T_ID],
+                        node_id,
+                        address,
+                        {
+                            "to": to_node,
+                            "arrival": arrival,
+                            "mode": "split" if txn[_T_SPLIT] else "combined",
+                            "satisfied": txn[_T_SAT],
+                            "squashed": txn[_T_SQ],
+                        },
+                    )
+                )
             txn[_T_NEXT] = to_node
             seq += 1
             push(heap, (arrival, seq, _OP_STEP, txn, 0))
@@ -1186,14 +1446,30 @@ class SoaRingMultiprocessor:
 
         def start_ring(core: list, address: int, is_write: bool) -> None:
             nonlocal mshr_queued, read_ring_transactions
-            nonlocal write_ring_transactions
+            nonlocal write_ring_transactions, txn_seq
             cmp_id = core[1]
             active_list = active.get(address)
             squashed = False
             if active_list:
                 for txn in active_list:
                     if txn[_T_REQ] == cmp_id:
-                        txn[_T_WAIT].append(core)
+                        waiters = txn[_T_WAIT]
+                        if tracing:
+                            emit(
+                                TraceEvent(
+                                    now,
+                                    _MSHR,
+                                    txn[_T_ID],
+                                    cmp_id,
+                                    address,
+                                    {
+                                        "phase": "wait",
+                                        "core": core[_K_ID],
+                                        "position": len(waiters),
+                                    },
+                                )
+                            )
+                        waiters.append(core)
                         mshr_queued += 1
                         return
                 if is_write:
@@ -1205,6 +1481,7 @@ class SoaRingMultiprocessor:
                         not t[_T_RET] and not t[_T_SQ] and t[_T_WRITE]
                         for t in active_list
                     )
+            txn_seq += 1
             txn = [
                 is_write,  # _T_WRITE
                 address,  # _T_ADDR
@@ -1225,6 +1502,7 @@ class SoaRingMultiprocessor:
                 squashed,  # _T_SQ
                 core_retries[core[_K_ID]],  # _T_RETRY
                 seg_links[ring_of(address)] if link_contention else None,
+                txn_seq,  # _T_ID
             ]
             if is_write:
                 base = cmp_id * cpc
@@ -1244,6 +1522,22 @@ class SoaRingMultiprocessor:
                 active_list.append(txn)
             else:
                 active[address] = [txn]
+            if tracing:
+                emit(
+                    TraceEvent(
+                        now,
+                        _ISSUE,
+                        txn_seq,
+                        cmp_id,
+                        address,
+                        {
+                            "kind": "write" if is_write else "read",
+                            "core": core[_K_ID],
+                            "squashed": squashed,
+                            "retries": txn[_T_RETRY],
+                        },
+                    )
+                )
             if not squashed:
                 if is_write:
                     write_ring_transactions += 1
@@ -1257,6 +1551,17 @@ class SoaRingMultiprocessor:
             core = txn[_T_CORE]
             address = txn[_T_ADDR]
             invalidate_all(core[1], address)
+            if tracing:
+                emit(
+                    TraceEvent(
+                        at_time,
+                        _FILL,
+                        txn[_T_ID],
+                        core[1],
+                        address,
+                        {"source": "write", "version": write_counter},
+                    )
+                )
             fill(core, address, _D, write_counter)
             complete_access(core, at_time)
             retire(txn)
@@ -1291,6 +1596,17 @@ class SoaRingMultiprocessor:
             elif op == _OP_WALKDONE:
                 txn = event[3]
                 if txn[_T_SQ]:
+                    if tracing:
+                        emit(
+                            TraceEvent(
+                                now,
+                                _SQUASH,
+                                txn[_T_ID],
+                                txn[_T_REQ],
+                                txn[_T_ADDR],
+                                {},
+                            )
+                        )
                     retire(txn)
                     squashes += 1
                     seq += 1
@@ -1366,6 +1682,17 @@ class SoaRingMultiprocessor:
                         )
             elif op == _OP_DELIVER_READ:
                 txn = event[3]
+                if tracing:
+                    emit(
+                        TraceEvent(
+                            now,
+                            _FILL,
+                            txn[_T_ID],
+                            txn[_T_REQ],
+                            txn[_T_ADDR],
+                            {"source": "cache", "version": txn[_T_SVER]},
+                        )
+                    )
                 fill(txn[_T_CORE], txn[_T_ADDR], _SL, txn[_T_SVER])
                 latency = txn[_T_DA] - txn[_T_ISSUE]
                 read_miss_latency_sum += latency
@@ -1392,6 +1719,22 @@ class SoaRingMultiprocessor:
                     state = (
                         _SG if holder_count.get(address, 0) > 0 else _E
                     )
+                if tracing:
+                    emit(
+                        TraceEvent(
+                            now,
+                            _FILL,
+                            txn[_T_ID],
+                            txn[_T_REQ],
+                            address,
+                            {
+                                "source": (
+                                    "cache" if entry is not None else "memory"
+                                ),
+                                "version": version,
+                            },
+                        )
+                    )
                 fill(txn[_T_CORE], address, state, version)
                 latency = txn[_T_DA] - txn[_T_ISSUE]
                 read_miss_latency_sum += latency
@@ -1410,6 +1753,17 @@ class SoaRingMultiprocessor:
                 retries += 1
                 core = txn[_T_CORE]
                 core_retries[core[_K_ID]] += 1
+                if tracing:
+                    emit(
+                        TraceEvent(
+                            now,
+                            _RETRY,
+                            txn[_T_ID],
+                            txn[_T_REQ],
+                            txn[_T_ADDR],
+                            {},
+                        )
+                    )
                 if core[_K_CUR].is_write:
                     writes -= 1
                     handle_write(core)

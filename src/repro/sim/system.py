@@ -64,8 +64,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.config import MachineConfig
+from repro.coherence.cache import SetAssociativeCache, copies_of
 from repro.coherence.protocol import CoherenceError, ProtocolTables
-from repro.coherence.states import LineState
 from repro.core.algorithms import SnoopingAlgorithm
 from repro.core.predictors import PerfectPredictor
 from repro.core.presence import PresencePredictor
@@ -85,8 +85,6 @@ from repro.sim.warmup import WarmupController
 from repro.workloads.source import WorkloadSource, as_source
 from repro.workloads.synthetic import SharingProfile
 from repro.workloads.trace import WorkloadTrace
-
-_I = LineState.I
 
 __all__ = [
     "RingMultiprocessor",
@@ -331,6 +329,14 @@ class RingMultiprocessor:
             else None
         )
 
+        #: Every cache keyed (CMP, core), in that order: the scan of
+        #: the per-retire invariant check.
+        self._keyed_caches: List[Tuple[Tuple[int, int], SetAssociativeCache]] = [
+            ((node.cmp_id, core_idx), cache)
+            for node in self.nodes
+            for core_idx, cache in enumerate(node.caches)
+        ]
+
         self._ran = False
         self.warmup.apply_prewarm()
 
@@ -465,14 +471,10 @@ class RingMultiprocessor:
         self.txns.check_version(address, obtained, txn=txn, at_issue=at_issue)
 
     def _check_line_invariants(self, address: int) -> None:
-        # ``state_of`` reads prewarmed sets without building them.
-        holders: Dict[Tuple[int, int], LineState] = {}
-        for node in self.nodes:
-            cmp_id = node.cmp_id
-            for core_idx, cache in enumerate(node.caches):
-                state = cache.state_of(address)
-                if state is not _I:
-                    holders[(cmp_id, core_idx)] = state
+        # Every cache is scanned (the indexes are what the check must
+        # not trust), with the set index computed once and prewarmed
+        # sets read without building them.
+        holders = copies_of(self._keyed_caches, address)
         # A single copy breaks none of the rules check_line enforces.
         if len(holders) > 1:
             ProtocolTables.check_line(holders, address)

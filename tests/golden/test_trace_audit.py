@@ -2,10 +2,12 @@
 the lifecycle validators hold over the whole golden matrix.
 
 Each golden cell is re-run with the full observability stack on
-(event tracing + ``check_invariants``) and must (a) produce a trace
-the :class:`~repro.obs.audit.TraceAuditor` finds zero violations in,
-and (b) produce the *bit-identical* summary pinned in
-``summaries.json`` - proving the trace layer is a pure observer.
+(event tracing + ``check_invariants``), on both cores - through
+``run_traced``, which picks the soa core for every golden cell, and on
+the object core built directly - and must (a) produce a trace the
+:class:`~repro.obs.audit.TraceAuditor` finds zero violations in, and
+(b) produce the *bit-identical* summary pinned in ``summaries.json`` -
+proving the trace layer is a pure observer.
 
 A deliberately corrupted trace must be flagged, so a green audit
 means the validators actually bite.
@@ -20,7 +22,8 @@ import pytest
 
 from repro.obs.audit import TraceAuditor
 from repro.obs.runner import run_traced
-from repro.obs.trace import EventType
+from repro.obs.trace import EventType, InMemorySink
+from tests.golden.test_trace_equivalence import build, golden_machine
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "summaries.json")
 
@@ -53,12 +56,31 @@ def _run_cell(cell):
 @pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=_cell_id)
 def test_traced_audited_run_is_clean_and_result_neutral(cell):
     traced = _run_cell(cell)
+    assert traced.core == "soa"
     assert traced.events, "tracing produced no events"
     auditor = TraceAuditor(num_cmps=traced.meta["num_cmps"])
     violations = auditor.audit(traced.events)
     assert violations == [], "\n".join(str(v) for v in violations)
     # Tracing + invariant checking changed nothing observable.
     assert traced.summary() == cell["summary"]
+
+
+@pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=_cell_id)
+def test_object_core_traced_audited_run_is_clean(cell):
+    machine, source = golden_machine(cell)
+    sink = InMemorySink()
+    result = build(
+        "object",
+        machine,
+        cell["algorithm"],
+        source,
+        cell["warmup_fraction"],
+        sink,
+    ).run()
+    assert sink.events, "tracing produced no events"
+    violations = TraceAuditor(num_cmps=machine.num_cmps).audit(sink.events)
+    assert violations == [], "\n".join(str(v) for v in violations)
+    assert result.summary() == cell["summary"]
 
 
 def test_auditor_flags_dropped_retirements():

@@ -7,6 +7,11 @@ snoop-port serialization, injection rate (think scale) and policy -
 and requires the soa core to reproduce the object core's ``summary()``,
 ``exec_time``, event count and occupancy counters exactly.
 
+Each draw also runs traced, with ``check_invariants``, on both cores:
+they must emit identical JSONL lines, and the soa trace must audit
+clean under the policy-aware auditor (the auditor the trace's
+metadata describes, as ``flexsnoop trace audit`` builds it).
+
 Tier-1 runs a fast profile; set ``FLEXSNOOP_PROPERTY_EXAMPLES`` (e.g.
 to 200) for a long run.
 """
@@ -19,8 +24,12 @@ import os
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import default_machine
+from repro.config import TraceConfig, default_machine
 from repro.core.algorithms import build_algorithm
+from repro.obs.audit import auditor_for
+from repro.obs.jsonl import encode_event
+from repro.obs.trace import InMemorySink
+from repro.ring.topology import build_topology
 from repro.sim.soa import SoaRingMultiprocessor
 from repro.sim.system import RingMultiprocessor
 from repro.workloads.source import SyntheticSource
@@ -105,3 +114,32 @@ def test_soa_matches_object_under_contention(scenario):
     assert actual.events == expected.events
     assert soa.link_busy_cycles == system.walker.link_busy_cycles
     assert soa.port_wait_cycles == system.walker.port_wait_cycles
+
+    traced = machine.replace(
+        tracing=TraceConfig(enabled=True), check_invariants=True
+    )
+    events = {}
+    for core in (RingMultiprocessor, SoaRingMultiprocessor):
+        sink = InMemorySink()
+        result = core(
+            traced,
+            build_algorithm(algorithm),
+            source,
+            warmup_fraction=warmup,
+            trace_sink=sink,
+        ).run()
+        assert result.summary() == expected.summary()
+        events[core] = sink.events
+    lines = [encode_event(event) for event in events[SoaRingMultiprocessor]]
+    assert lines == [encode_event(event) for event in events[RingMultiprocessor]]
+    meta = {
+        "algorithm": build_algorithm(algorithm).name,
+        "num_cmps": machine.num_cmps,
+    }
+    if machine.topology.kind != "ring":
+        meta["successors"] = build_topology(machine).successors()
+    auditor = auditor_for(meta)
+    for event in events[SoaRingMultiprocessor]:
+        auditor.feed(event)
+    violations = auditor.finish(events[SoaRingMultiprocessor])
+    assert violations == [], "\n".join(str(v) for v in violations[:5])

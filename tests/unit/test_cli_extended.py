@@ -122,6 +122,63 @@ def test_cli_trace_unreadable_file_is_one_line(
         assert "run.jsonl:2: malformed event" in captured.err
 
 
+@pytest.fixture(scope="module")
+def exact_trace(tmp_path_factory):
+    """A recorded Exact trace: transactions plus machine events
+    (conflict downgrades) on several nodes."""
+    path = tmp_path_factory.mktemp("show") / "exact.jsonl"
+    code = main(
+        [
+            "trace", "record", "--algorithm", "exact", "--workload",
+            "specweb", "--scale", "30", "--out", str(path),
+        ]
+    )
+    assert code == 0
+    return path
+
+
+@pytest.mark.parametrize("limit", [None, "0", "3"], ids=lambda v: "limit%s" % v)
+@pytest.mark.parametrize(
+    "criteria",
+    [
+        [],
+        ["--txn", "5"],
+        ["--address", "0x97b1dcdaf"],
+        ["--node", "2"],
+        ["--address", "0x97b1dcdaf", "--node", "3"],
+    ],
+    ids=" ".join,
+)
+def test_cli_trace_show_streams_what_the_listed_trace_renders(
+    exact_trace, capsys, criteria, limit
+):
+    from repro.obs.jsonl import read_trace
+    from repro.obs.render import filter_events, render_timeline
+
+    capsys.readouterr()
+    args = list(criteria) + (["--limit", limit] if limit else [])
+    assert main(["trace", "show", str(exact_trace)] + args) == 0
+    shown = capsys.readouterr().out
+
+    meta, events = read_trace(str(exact_trace))
+    options = dict(zip(criteria[::2], criteria[1::2]))
+    selected = filter_events(
+        events,
+        address=int(options["--address"], 0) if "--address" in options else None,
+        txn=int(options["--txn"]) if "--txn" in options else None,
+        node=int(options["--node"]) if "--node" in options else None,
+    )
+    expected = "trace: %s/%s  (%d of %d event(s) match)\n%s\n" % (
+        meta["algorithm"],
+        meta["workload"],
+        len(selected),
+        len(events),
+        render_timeline(selected, limit=int(limit) if limit else None),
+    )
+    assert any(e.txn < 0 for e in events), "no machine events to filter"
+    assert shown == expected
+
+
 def test_cli_report_to_file(tmp_path, capsys):
     out_file = tmp_path / "report.md"
     code = main(

@@ -1,12 +1,13 @@
 """The unsupported-configuration envelope, flag by flag.
 
 The array core (``soa``) declares an explicit envelope (the
-contention flags are inside it): every excluded feature must raise a
-clean, named ``SoaUnsupportedError`` at construction - never a
-mid-run crash or a silently wrong result - while the object core runs
-the identical configuration to completion.  One parametrized matrix
-pins each flag to that contract, so adding an envelope hole or a new
-flag without updating ``check_soa_supported`` fails loudly.
+contention flags, tracing and the per-retire invariant checks are
+inside it): every excluded feature must raise a clean, named
+``SoaUnsupportedError`` at construction - never a mid-run crash or a
+silently wrong result - while the object core runs the identical
+configuration to completion.  One parametrized matrix pins each flag
+to that contract, so adding an envelope hole or a new flag without
+updating ``check_soa_supported`` fails loudly.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from repro.config import default_machine
 from repro.core.algorithms import build_algorithm
+from repro.obs.jsonl import encode_event
 from repro.obs.trace import InMemorySink
 from repro.registry import REGISTRY
 from repro.sim.soa import SoaUnsupportedError
@@ -66,10 +68,16 @@ def _source():
 #: envelope.
 ENVELOPE_FLAGS = [
     ("filter_write_snoops", {"filter_write_snoops": True}, {}),
-    ("check_invariants", {"check_invariants": True}, {}),
     ("track_versions", {"track_versions": True}, {}),
-    ("tracing", {}, {"trace_sink": InMemorySink()}),
     ("sample_window", {"sample_window": 50}, {}),
+]
+
+#: Observability inside the soa envelope: both cores run it, alike.
+#: ``tracing`` resolves its sink from the machine config; the sink
+#: handed in is the differential suites' path.
+OBSERVABILITY_FLAGS = [
+    ("check_invariants", {"check_invariants": True}, {}),
+    ("tracing", {"enabled": True}, {}),
 ]
 
 #: The contention models: inside the soa envelope.
@@ -113,8 +121,26 @@ def test_soa_runs_contention(entry):
     assert result.stats.reads + result.stats.writes > 0
 
 
+@pytest.mark.parametrize("entry", OBSERVABILITY_FLAGS, ids=_flag_id)
+def test_soa_runs_observability(entry):
+    soa = _create("soa", entry)
+    system = _create("object", entry)
+    assert soa.run().summary() == system.run().summary()
+
+
+def test_soa_and_object_emit_the_same_events_into_a_given_sink():
+    lines = {}
+    for core in ("object", "soa"):
+        sink = InMemorySink()
+        _create(core, ("tracing", {}, {"trace_sink": sink})).run()
+        lines[core] = [encode_event(event) for event in sink.events]
+    assert lines["soa"]
+    assert lines["soa"] == lines["object"]
+
+
 @pytest.mark.parametrize(
-    "entry", ENVELOPE_FLAGS + CONTENTION_FLAGS, ids=_flag_id
+    "entry", ENVELOPE_FLAGS + CONTENTION_FLAGS + OBSERVABILITY_FLAGS,
+    ids=_flag_id,
 )
 def test_object_core_runs_every_envelope_flag(entry):
     result = _create("object", entry).run()

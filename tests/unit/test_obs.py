@@ -19,7 +19,8 @@ from repro.obs.jsonl import (
     read_trace,
     write_trace,
 )
-from repro.obs.render import filter_events, render_timeline
+from repro.obs.render import filter_events, render_timeline, select_events
+from repro.obs.runner import run_traced
 from repro.obs.trace import (
     NO_TXN,
     EventType,
@@ -27,6 +28,7 @@ from repro.obs.trace import (
     JsonlStreamSink,
     TraceEvent,
 )
+from repro.sim.soa import SoaRingMultiprocessor
 from repro.sim.system import RingMultiprocessor
 from repro.workloads.synthetic import SharingProfile
 
@@ -122,16 +124,14 @@ def test_jsonl_stream_sink_writes_the_meta_it_holds_at_close(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
 
 
-def _traced_machine(sink=None, sink_spec="memory"):
+def _traced_machine(sink=None, sink_spec="memory", core=RingMultiprocessor):
     config = default_machine(algorithm="lazy", cores_per_cmp=1).replace(
         tracing=TraceConfig(enabled=True, sink=sink_spec)
     )
     profile = SharingProfile(
         name="sinks", num_cores=8, cores_per_cmp=1, accesses_per_core=20
     )
-    return RingMultiprocessor(
-        config, build_algorithm("lazy"), profile, trace_sink=sink
-    )
+    return core(config, build_algorithm("lazy"), profile, trace_sink=sink)
 
 
 def test_machine_leaves_the_sink_it_was_handed_open(tmp_path):
@@ -155,6 +155,56 @@ def test_machine_closes_the_sink_it_resolved(tmp_path):
         system.trace.emit(_clean_txn()[0])
     _meta, events = read_trace(str(path))
     assert events
+
+
+def test_soa_machine_leaves_the_sink_it_was_handed_open(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    sink = JsonlStreamSink(str(path), meta={"phase": "before"})
+    result = _traced_machine(sink, core=SoaRingMultiprocessor).run()
+    sink.meta = {"phase": "after", "exec_time": result.exec_time}
+    sink.close()
+    meta, events = read_trace(str(path))
+    assert meta == {"phase": "after", "exec_time": result.exec_time}
+    assert events
+
+
+def test_soa_machine_closes_the_sink_it_resolved(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    system = _traced_machine(
+        sink_spec="jsonl:%s" % path, core=SoaRingMultiprocessor
+    )
+    system.run()
+    with pytest.raises(ValueError, match="closed"):
+        system.trace.emit(_clean_txn()[0])
+    _meta, events = read_trace(str(path))
+    assert events
+
+
+# ----------------------------------------------------------------------
+# run_traced's core
+
+
+def test_run_traced_runs_soa_inside_its_envelope():
+    traced = run_traced(
+        "criticality",
+        "specjbb",
+        accesses_per_core=40,
+        check_invariants=True,
+        audit=True,
+    )
+    assert traced.core == "soa"
+    assert traced.violations == []
+    assert traced.events and traced.samples == []
+
+
+def test_run_traced_runs_object_for_a_timeline():
+    kwargs = dict(accesses_per_core=40, check_invariants=True, audit=True)
+    traced = run_traced("criticality", "specjbb", sample_window=2000, **kwargs)
+    assert traced.core == "object"
+    assert traced.samples
+    assert traced.violations == []
+    # The core changes the speed, not the trace.
+    assert traced.events == run_traced("criticality", "specjbb", **kwargs).events
 
 
 def test_sinks_resolve_through_registry():
@@ -272,6 +322,43 @@ def test_render_timeline_groups_and_elides():
 
 def test_render_timeline_empty():
     assert "no events match" in render_timeline([])
+
+
+def _shuffled_trace():
+    """Interleaved transactions whose ids first appear out of order,
+    plus machine events on two nodes."""
+    groups = {txn: _clean_txn(txn=txn, node=txn % 2) for txn in (5, 2, 7, 1, 4)}
+    events = []
+    for step in range(len(groups[1])):
+        for txn in groups:
+            events.append(groups[txn][step])
+        if step == 1:
+            events.append(
+                _ev(500, EventType.DOWNGRADE, NO_TXN, step, writeback=False)
+            )
+    events.append(_ev(900, EventType.DOWNGRADE, NO_TXN, 0, writeback=True))
+    return events
+
+
+@pytest.mark.parametrize("limit", [None, -1, 0, 1, 2, 3, 5, 9])
+@pytest.mark.parametrize(
+    "criteria",
+    [{}, {"txn": 4}, {"txn": 99}, {"node": 1}, {"node": 0},
+     {"address": ADDRESS, "node": 1}],
+    ids=repr,
+)
+def test_select_events_prints_what_filter_events_prints(criteria, limit):
+    events = _shuffled_trace()
+    selected = filter_events(events, **criteria)
+    selection = select_events(events, limit=limit, **criteria)
+    assert selection.matched == len(selected)
+    assert selection.total == len(events)
+    assert render_timeline(
+        selection.events, limit=limit, elided=selection.elided
+    ) == render_timeline(selected, limit=limit)
+    if limit is not None and limit >= 0:
+        kept = {event.txn for event in selection.events if event.txn >= 0}
+        assert len(kept) <= limit
 
 
 # ----------------------------------------------------------------------

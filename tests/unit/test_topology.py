@@ -319,8 +319,11 @@ def test_build_topology_from_machine_config():
 
 
 def test_dynamic_topology_object_core_runs_fused_cores_refuse():
+    from repro.core.algorithms import build_algorithm
     from repro.harness.experiments import run_experiment
-    from repro.sim.soa import SoaUnsupportedError
+    from repro.sim.soa import SoaRingMultiprocessor, SoaUnsupportedError
+    from repro.workloads.source import SyntheticSource
+    from repro.workloads.synthetic import SharingProfile
 
     REGISTRY.register(
         "topology",
@@ -328,6 +331,21 @@ def test_dynamic_topology_object_core_runs_fused_cores_refuse():
         lambda config: _DynamicTopology(config.num_cmps),
     )
     try:
+        # The refusal comes from the constructor, before the prewarm
+        # image is built or any event runs.
+        machine = MachineConfig(
+            num_cmps=8,
+            cores_per_cmp=1,
+            topology=TopologyConfig(kind="oddfirst"),
+        )
+        source = SyntheticSource(
+            SharingProfile(
+                name="dynamic", num_cores=8, cores_per_cmp=1,
+                accesses_per_core=10,
+            )
+        )
+        with pytest.raises(SoaUnsupportedError, match="oddfirst"):
+            SoaRingMultiprocessor(machine, build_algorithm("lazy"), source)
         result = run_experiment(
             "lazy",
             "specjbb",
