@@ -46,7 +46,7 @@ from repro.harness.experiments import (
 )
 from repro.harness.result_cache import ResultCache
 from repro.registry import REGISTRY, UnknownComponentError
-from repro.sim.soa import SoaUnsupportedError
+from repro.sim.cores import DEFAULT_CORE
 
 
 def _make_cache(args: argparse.Namespace) -> ResultCache:
@@ -189,15 +189,11 @@ def _resolved_num_cmps(args: argparse.Namespace) -> int:
 def _add_core_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--core",
-        default="object",
-        help="simulation-core implementation (known: %s; all produce "
-        "bit-identical summaries)" % ", ".join(REGISTRY.names("core")),
-    )
-    parser.add_argument(
-        "--strict-core",
-        action="store_true",
-        help="fail instead of falling back to core=object when the "
-        "requested core does not support the configuration",
+        default=DEFAULT_CORE,
+        help="simulation-core implementation (known: %s; default: %s; "
+        "all produce bit-identical summaries, and a run the requested "
+        "core does not support runs on object, with a notice on "
+        "stderr)" % (", ".join(REGISTRY.names("core")), DEFAULT_CORE),
     )
 
 
@@ -460,10 +456,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             cache=_make_cache(args),
             core=args.core,
         )
-    except SoaUnsupportedError:
-        # A ValueError subclass, but it belongs to main()'s core
-        # fallback machinery, not to the typo handler below.
-        raise
     except ValueError as exc:
         # The field resolver rejects typos with the full list of
         # valid dotted paths; surface that verbatim.
@@ -479,9 +471,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    # The cores that ran, in point order: a point the requested core
+    # refused ran on object.
+    cores = dict.fromkeys(point.result.core for point in sweep.points)
     print(
         "sweep %s  [algorithm=%s workload=%s core=%s]"
-        % (args.field, args.algorithm, args.workload, args.core)
+        % (args.field, args.algorithm, args.workload, ",".join(cores))
     )
     print("%16s  %s" % ("value", args.metric))
     for value in values:
@@ -750,12 +745,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     profiler = cProfile.Profile()
     profiler.enable()
+    # subsystem_split buckets time by the object core's modules.
     result = run_experiment(
         args.algorithm,
         args.workload,
         predictor=args.predictor,
         accesses_per_core=args.scale,
         seed=args.seed,
+        core="object",
     )
     profiler.disable()
     print(
@@ -1087,28 +1084,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        try:
-            return args.func(args)
-        except SoaUnsupportedError as exc:
-            # An array core refused the configuration at construction.
-            # The object core runs everything, so fall back to it with
-            # a one-line notice unless the user asked for the hard
-            # error (--strict-core).
-            if (
-                getattr(args, "strict_core", False)
-                or getattr(args, "core", "object") == "object"
-            ):
-                raise
-            print(
-                "flexsnoop: %s; falling back to core=object "
-                "(use --strict-core to fail instead)" % exc,
-                file=sys.stderr,
-            )
-            args.core = "object"
-            return args.func(args)
-    except SoaUnsupportedError as exc:
-        print("flexsnoop: %s" % exc, file=sys.stderr)
-        return 2
+        return args.func(args)
     except UnknownComponentError as exc:
         print("flexsnoop: %s" % exc, file=sys.stderr)
         return 2

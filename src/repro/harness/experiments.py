@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config import MachineConfig
 from repro.harness.parallel import RunSpec, execute_spec, run_specs
 from repro.harness.result_cache import ResultCache
+from repro.sim.cores import DEFAULT_CORE
 from repro.sim.system import SimulationResult
 
 #: Algorithms of the main comparison (Section 6.1), in paper order.
@@ -61,7 +62,7 @@ def run_experiment(
     seed: int = 0,
     config: Optional[MachineConfig] = None,
     warmup_fraction: float = DEFAULT_WARMUP,
-    core: str = "object",
+    core: str = DEFAULT_CORE,
     topology: Optional[str] = None,
     num_cmps: int = 0,
     think_scale: float = 1.0,
@@ -78,8 +79,8 @@ def run_experiment(
         config: full machine config override (advanced use; its
             predictor field is still replaced when ``predictor`` or
             the algorithm default says so).
-        core: simulation-core implementation (registry kind ``core``):
-            ``object`` (default) or ``soa``.
+        core: the requested simulation core (registry kind
+            ``core``); the result's ``core`` names the one that ran.
         topology: snoop-topology override (registry kind
             ``topology``): None leaves the machine's default single
             ring; e.g. ``hier_ring`` for the two-level machine.
@@ -132,7 +133,7 @@ class ExperimentMatrix:
     workloads: Sequence[str] = WORKLOADS
     jobs: Optional[int] = 1
     result_cache: Optional[ResultCache] = None
-    core: str = "object"
+    core: str = DEFAULT_CORE
     topology: Optional[str] = None
     num_cmps: int = 0
     think_scale: float = 1.0
@@ -385,7 +386,7 @@ def compare_topologies(
     num_cmps: int = 0,
     jobs: Optional[int] = 1,
     result_cache: Optional[ResultCache] = None,
-    core: str = "object",
+    core: str = DEFAULT_CORE,
 ) -> Dict[str, Dict[str, Dict[str, Dict[str, float]]]]:
     """Run the fig6-style matrix once per topology.
 

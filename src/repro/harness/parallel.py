@@ -22,6 +22,7 @@ parent state through fork.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import warnings
@@ -34,11 +35,8 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.config import MachineConfig, default_machine
 from repro.registry import REGISTRY
 from repro.core.algorithms import build_algorithm
-from repro.harness.result_cache import (
-    ResultCache,
-    config_fingerprint,
-    fingerprint_key,
-)
+from repro.harness.result_cache import ResultCache, fingerprint_key
+from repro.sim.cores import DEFAULT_CORE, build_core
 from repro.sim.system import SimulationResult
 from repro.workloads.source import WorkloadSource, resolve_source
 
@@ -63,18 +61,15 @@ class RunSpec:
     seed: int = 0
     warmup_fraction: float = 0.0
     config: Optional[MachineConfig] = None
-    #: Simulation-core implementation (registry kind ``core``):
-    #: ``"object"`` (default) or ``"soa"``.  Both produce
-    #: bit-identical summaries; the soa core additionally pins
-    #: diagnostic event counts that differ from the object engine, so
-    #: non-default cores get their own result-cache entries.
-    core: str = "object"
+    #: The requested simulation core (registry kind ``core``); a
+    #: configuration it refuses runs on ``object`` (see
+    #: :func:`repro.sim.cores.build_core`).  The cache key names the
+    #: requested core; ``SimulationResult.core`` the one that ran.
+    core: str = DEFAULT_CORE
     #: Snoop-topology override (registry kind ``topology``): ``None``
     #: leaves the machine config untouched (the default ``ring``);
     #: naming one replaces ``config.topology.kind``.  The topology
-    #: travels inside the machine fingerprint, and the default
-    #: ``TopologyConfig`` is elided there, so pre-existing cache keys
-    #: stay byte-stable (the ``core`` precedent above).
+    #: travels inside the machine fingerprint.
     topology: Optional[str] = None
     #: Machine-span override: 0 = the workload source's own geometry;
     #: a nonzero value reshapes a synthetic workload across that many
@@ -83,8 +78,7 @@ class RunSpec:
     #: Injection-pacing override: every synthetic think time is
     #: multiplied by this factor (the loaded-regime axis; see
     #: :attr:`repro.workloads.synthetic.SharingProfile.think_scale`).
-    #: 1.0 leaves the workload - and every pre-existing cache key -
-    #: untouched.
+    #: 1.0 leaves the workload untouched.
     think_scale: float = 1.0
 
     def resolve_config(
@@ -113,8 +107,6 @@ class RunSpec:
                     )
                 )
         if self.topology is not None:
-            import dataclasses
-
             machine = machine.replace(
                 topology=dataclasses.replace(
                     machine.topology,
@@ -142,26 +134,19 @@ class RunSpec:
             "algorithm": self.algorithm,
             "predictor": self.predictor,
             "warmup_fraction": self.warmup_fraction,
-            "machine": config_fingerprint(
+            # Tuples become lists; the key only compares to itself.
+            "machine": dataclasses.asdict(
                 self.resolve_config(cores_per_cmp, num_cmps)
             ),
+            "core": REGISTRY.canonical("core", self.core),
         }
-        if self.core != "object":
-            # Default-core keys stay byte-stable across this field's
-            # introduction, so existing caches remain warm.
-            payload["core"] = REGISTRY.canonical("core", self.core)
         if source_descriptor is not None:
             payload["source"] = source_descriptor
         else:
             payload["workload"] = self.workload
             payload["accesses_per_core"] = self.accesses_per_core
             payload["seed"] = self.seed
-            if self.think_scale != 1.0:
-                # Descriptor-bearing sources already carry the pacing
-                # in their profile dict; the field fallback needs it
-                # spelled out (elided at the default for key
-                # stability).
-                payload["think_scale"] = self.think_scale
+            payload["think_scale"] = self.think_scale
         return payload
 
     def cache_key(self) -> str:
@@ -220,15 +205,16 @@ def execute_spec(spec: RunSpec) -> SimulationResult:
     Top-level and driven purely by ``spec`` so it can be shipped to a
     spawn worker.  This is the single execution path shared by the
     serial and parallel harnesses, which is what makes their results
-    identical by construction.
+    identical by construction.  The machine comes from
+    :func:`~repro.sim.cores.build_core`, so a configuration the
+    requested core refuses runs on the object core, once.
     """
     source = _cached_source(
         spec.workload, spec.accesses_per_core, spec.seed, spec.num_cmps,
         spec.think_scale,
     )
     machine = spec.resolve_config(source.cores_per_cmp, source.num_cmps)
-    system = REGISTRY.create(
-        "core",
+    system = build_core(
         spec.core,
         machine,
         build_algorithm(spec.algorithm),

@@ -29,7 +29,6 @@ into the key.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -39,7 +38,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional
 
 from repro import __version__
-from repro.config import MachineConfig, TopologyConfig
 from repro.sim.system import SimulationResult
 
 #: Bump when the semantics of cached results change (new counters,
@@ -50,7 +48,10 @@ from repro.sim.system import SimulationResult
 #: v3: RunSpec fingerprints are keyed on the workload source
 #: descriptor (content hash for file replays, parameter snapshot for
 #: synthetic profiles) instead of the literal spec fields.
-CACHE_SCHEMA_VERSION = 3
+#: v4: results record the core that ran (``SimulationResult.core``),
+#: and every key spells out the requested core, the topology and the
+#: think scale (the default core became ``soa``).
+CACHE_SCHEMA_VERSION = 4
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "FLEXSNOOP_CACHE_DIR"
@@ -62,29 +63,6 @@ def default_cache_root() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "flexsnoop"
-
-
-#: Snapshot of the stock topology; computed once at import.
-_DEFAULT_TOPOLOGY = dataclasses.asdict(TopologyConfig())
-
-
-def config_fingerprint(config: MachineConfig) -> Dict[str, Any]:
-    """A JSON-serializable snapshot of a machine configuration.
-
-    ``dataclasses.asdict`` recurses through the nested frozen config
-    dataclasses; tuples become lists, which is fine because the JSON
-    canonicalization below is only ever compared against itself.
-
-    The ``topology`` section is elided when it equals the default
-    (single embedded ring), so fingerprints stay byte-stable across
-    that field's introduction and existing caches remain warm -
-    mirroring the ``core`` field precedent in
-    :meth:`repro.harness.parallel.RunSpec.fingerprint`.
-    """
-    payload = dataclasses.asdict(config)
-    if payload.get("topology") == _DEFAULT_TOPOLOGY:
-        del payload["topology"]
-    return payload
 
 
 def fingerprint_key(payload: Dict[str, Any]) -> str:

@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config import default_machine
 from repro.harness.parallel import RunSpec, run_specs
 from repro.harness.result_cache import ResultCache
+from repro.sim.cores import DEFAULT_CORE
 from repro.sim.system import SimulationResult
 from repro.workloads.source import resolve_source
 
@@ -207,7 +208,7 @@ def run_saturation(
     num_cmps: int = 0,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
-    core: str = "object",
+    core: str = DEFAULT_CORE,
 ) -> List[SaturationCurve]:
     """Sweep injection rates for every (algorithm, topology) pair.
 

@@ -36,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from repro.config import MachineConfig, default_machine
 from repro.harness.parallel import RunSpec, run_specs
 from repro.harness.result_cache import ResultCache
+from repro.sim.cores import DEFAULT_CORE
 from repro.sim.system import SimulationResult
 from repro.workloads.source import resolve_source
 
@@ -143,7 +144,7 @@ def run_sweep(
     base_config: Optional[MachineConfig] = None,
     jobs: Optional[int] = 1,
     cache: Optional[ResultCache] = None,
-    core: str = "object",
+    core: str = DEFAULT_CORE,
 ) -> Sweep:
     """Run one simulation per swept value and collect the results.
 

@@ -10,13 +10,13 @@ such as ``"memory"`` or ``"jsonl:/tmp/run.jsonl"``) and, when
 ``sample_window`` is set, a metrics timeline, and returns everything
 bundled as a :class:`TracedRun`.
 
-The run goes to the fast array core (``soa``) whenever its envelope
-covers the resolved machine - :func:`~repro.sim.soa.check_soa_supported`
-decides before anything is built - and to the object core otherwise
-(the metrics timeline, the write filter, version tracking, a topology
-without static tables).  Both cores emit the same events, so the
-choice changes the run's speed, not its trace; :attr:`TracedRun.core`
-names the core that ran.  No work is rerun.
+The machine comes from :func:`~repro.sim.cores.build_core`, as every
+run's does: the default core (``soa``) whenever its envelope covers
+the resolved machine, and the object core otherwise (the metrics
+timeline, the write filter, version tracking, a topology without
+static tables).  Both cores emit the same events, so the choice
+changes the run's speed, not its trace; :attr:`TracedRun.core` names
+the core that ran.  No work is rerun.
 
 With a file-backed sink the events stream to disk as they are
 emitted and :attr:`TracedRun.events` stays empty - recording a
@@ -50,11 +50,7 @@ from repro.obs.trace import (
     TraceSink,
     resolve_sink,
 )
-from repro.sim.soa import (
-    SoaRingMultiprocessor,
-    SoaUnsupportedError,
-    check_soa_supported,
-)
+from repro.sim.cores import DEFAULT_CORE, build_core
 from repro.sim.system import RingMultiprocessor, SimulationResult
 
 _ISSUE = EventType.ISSUE
@@ -69,9 +65,8 @@ class TracedRun:
     events are on disk; ``meta["num_events"]`` still counts them).
     ``transactions`` counts the transactions issued (``issue``
     events; in a trace that audits clean, the distinct transaction
-    ids), ``violations`` is the audit's verdict (``None`` when not
-    audited), and ``core`` names the simulation core that ran
-    (``"soa"`` or ``"object"``).
+    ids), and ``violations`` is the audit's verdict (``None`` when not
+    audited).
     """
 
     result: SimulationResult
@@ -80,7 +75,11 @@ class TracedRun:
     meta: Dict[str, Any]
     transactions: int = 0
     violations: Optional[List[Violation]] = None
-    core: str = "object"
+
+    @property
+    def core(self) -> str:
+        """The simulation core that ran (``"soa"`` or ``"object"``)."""
+        return self.result.core
 
     def summary(self) -> Dict[str, float]:
         return self.result.summary()
@@ -183,12 +182,6 @@ def run_traced(
             tracing=TraceConfig(enabled=True, sample_window=sample_window),
             check_invariants=machine.check_invariants or check_invariants,
         )
-        try:
-            check_soa_supported(machine)
-        except SoaUnsupportedError:
-            core = "object"
-        else:
-            core = "soa"
         # Resolvable pre-run metadata; the result-dependent fields are
         # added after the run, before the sink closes and writes its header.
         meta: Dict[str, Any] = {
@@ -217,9 +210,8 @@ def run_traced(
         trace_sink.meta = meta
         auditor = auditor_for(meta) if audit else None
         tee = _Tee(trace_sink, auditor)
-        system: Union[RingMultiprocessor, SoaRingMultiprocessor] = (
-            SoaRingMultiprocessor if core == "soa" else RingMultiprocessor
-        )(
+        system = build_core(
+            DEFAULT_CORE,
             machine,
             build_algorithm(algorithm),
             source,
@@ -247,5 +239,4 @@ def run_traced(
         meta=meta,
         transactions=tee.issues,
         violations=auditor.finish(replay) if auditor is not None else None,
-        core=core,
     )

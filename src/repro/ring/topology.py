@@ -26,8 +26,8 @@ the hot loop.  A topology that cannot express itself as one static
 Hamiltonian cycle with fixed per-segment latencies raises
 :class:`TopologyTablesUnavailable` from ``export_tables``; the soa
 core surfaces that through its ``SoaUnsupportedError``
-envelope (the CLI then falls back to the object core, or fails under
-``--strict-core``).
+envelope, and the run falls back to the object core (see
+:func:`repro.sim.cores.build_core`).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class TopologyTablesUnavailable(NotImplementedError):
     Raised by :meth:`SnoopTopology.export_tables` for topologies whose
     routing is path-dependent.  The fused soa core requires the
     tables; it translates this into its ``SoaUnsupportedError``
-    envelope so the CLI can fall back to the object core.
+    envelope so the run falls back to the object core.
     """
 
 

@@ -1,12 +1,11 @@
 """Struct-of-arrays fused simulation core (``core=soa``).
 
-An opt-in alternative to :class:`repro.sim.system.RingMultiprocessor`
-that produces **bit-identical** :meth:`SimulationResult.summary`
-output for the configurations it supports, several times faster.  It
-is selected through the component registry (``core=soa`` vs the
-default ``core=object``; see ``repro.sim.cores``), so the harness,
-the result cache and the CLI treat the two implementations as
-interchangeable engines behind one seam.
+The default core: **bit-identical** :meth:`SimulationResult.summary`
+output to :class:`repro.sim.system.RingMultiprocessor` for the
+configurations it supports, about twice as fast.  Both are built
+through :func:`repro.sim.cores.build_core`, so the harness, the result
+cache and the CLI treat them as interchangeable engines behind one
+seam.
 
 Where the speed comes from
 --------------------------
@@ -68,9 +67,9 @@ per-retire line check as the object core and raises the same
 
 The write filter (presence predictors), version tracking, the metrics
 timeline (``tracing.sample_window``) and topologies that cannot export
-static tables fall back to the object core;
-:func:`check_soa_supported` raises :class:`SoaUnsupportedError` with
-the concrete reason, before anything is built.
+static tables are outside it: :func:`check_soa_supported` raises
+:class:`SoaUnsupportedError` with the concrete reason, before anything
+is built, and the run falls back to the object core.
 """
 
 from __future__ import annotations
@@ -143,8 +142,7 @@ def check_soa_supported(config: MachineConfig) -> None:
         )
     if reasons:
         raise SoaUnsupportedError(
-            "core=soa does not support: %s; use core=object"
-            % "; ".join(reasons)
+            "core=soa does not support: %s" % "; ".join(reasons)
         )
 
 
@@ -1854,4 +1852,5 @@ class SoaRingMultiprocessor:
             exec_time=stats.exec_time,
             events=processed,
             config=config,
+            core="soa",
         )

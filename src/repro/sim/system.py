@@ -104,6 +104,9 @@ class SimulationResult:
     exec_time: int
     events: int
     config: MachineConfig
+    #: The registry name of the core that ran (after any fallback);
+    #: provenance only, so it stays out of :meth:`summary`.
+    core: str
 
     @property
     def total_energy(self) -> float:
@@ -393,6 +396,7 @@ class RingMultiprocessor:
             exec_time=self.stats.exec_time,
             events=self.engine.events_processed,
             config=self.config,
+            core="object",
         )
 
     def _unwire(self) -> None:

@@ -188,13 +188,10 @@ class SyntheticSource(WorkloadSource):
     def descriptor(self) -> Dict[str, Any]:
         import dataclasses
 
-        profile = dataclasses.asdict(self.profile)
-        if profile.get("think_scale") == 1.0:
-            # The default pacing generates a bit-identical trace, so
-            # eliding the field keeps every pre-existing cache key
-            # stable.
-            del profile["think_scale"]
-        return {"kind": "synthetic", "profile": profile}
+        return {
+            "kind": "synthetic",
+            "profile": dataclasses.asdict(self.profile),
+        }
 
     def materialize(self) -> WorkloadTrace:
         if self._trace is None:

@@ -50,6 +50,7 @@ def _golden_spec(cell) -> RunSpec:
         accesses_per_core=GOLDEN_SCALE,
         seed=0,
         warmup_fraction=cell["warmup_fraction"],
+        core="object",
     )
 
 
@@ -73,12 +74,14 @@ def test_golden_matrix_covers_acceptance_surface():
 @pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=_cell_id)
 def test_summary_matches_pre_optimization_golden(cell):
     result = execute_spec(_golden_spec(cell))
+    assert result.core == "object"
     assert result.summary() == cell["summary"]
 
 
 @pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=_cell_id)
 def test_unbatched_walk_replays_golden_event_for_event(cell):
     result = execute_spec(_golden_spec(cell))
+    assert result.core == "object"
     assert result.events == cell["events"]
     # No event is dropped: the run fired every event it scheduled.
     assert result.stats.events_scheduled == result.events

@@ -8,7 +8,8 @@ changes how accesses reach the cores, never what they are.
 
 One trace file is saved per workload (module-scoped) and every
 algorithm cell replays it; the in-memory reference runs through the
-identical ``RunSpec`` path, so the only varying factor is the source.
+identical ``RunSpec`` path on the object core, so the only varying
+factor is the source.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ def test_file_replay_matches_generation(
             accesses_per_core=GOLDEN_SCALE,
             seed=0,
             warmup_fraction=0.35,
+            core="object",
         )
     )
     replayed = execute_spec(
@@ -82,8 +84,10 @@ def test_file_replay_matches_generation(
             algorithm=algorithm,
             workload="file:%s" % trace_files[workload],
             warmup_fraction=0.35,
+            core="object",
         )
     )
+    assert direct.core == replayed.core == "object"
     assert replayed.summary() == direct.summary()
     assert replayed.exec_time == direct.exec_time
     assert replayed.stats.summary() == direct.stats.summary()

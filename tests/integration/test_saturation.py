@@ -89,8 +89,9 @@ def test_think_scale_repaces_without_changing_footprint():
 
 
 def test_native_pacing_descriptor_unchanged():
-    """``think_scale=1.0`` must leave the source descriptor - and so
-    every cache and prewarm key - byte-identical to the seed's."""
+    """An explicit ``think_scale=1.0`` must give the same source
+    descriptor - and so the same cache key - as the unset default,
+    and another scale a different one."""
     base = resolve_source("specjbb", accesses_per_core=80, seed=0)
     explicit = resolve_source(
         "specjbb", accesses_per_core=80, seed=0, think_scale=1.0

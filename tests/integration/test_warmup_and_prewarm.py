@@ -498,12 +498,25 @@ def test_prewarm_image_shared_across_file_and_memory(tmp_path, image_walks):
 
 
 @pytest.mark.parametrize("core", ["object", "soa"])
-def test_think_scale_variants_share_one_image(core, image_walks):
+def test_think_scale_variants_share_one_image(
+    core, image_walks, monkeypatch
+):
     """The loaded study's shape (two algorithms x ring/hier_ring x three
     think scales) walks prewarm once per machine size: the think-scale
-    variants of splash2 have equal prewarm lines."""
+    variants of splash2 have equal prewarm lines.  Every run is on the
+    requested core (a soa refusal would fall back to object)."""
+    from repro.harness import parallel
     from repro.harness.saturation import run_saturation
 
+    ran = []
+    execute = parallel.execute_spec
+
+    def recording(spec):
+        result = execute(spec)
+        ran.append(result.core)
+        return result
+
+    monkeypatch.setattr(parallel, "execute_spec", recording)
     curves = run_saturation(
         algorithms=("lazy", "criticality"),
         topologies=("ring", "hier_ring"),
@@ -516,3 +529,4 @@ def test_think_scale_variants_share_one_image(core, image_walks):
     )
     assert sum(len(curve.points) for curve in curves) == 12
     assert len(image_walks) == 2
+    assert ran and set(ran) == {core}

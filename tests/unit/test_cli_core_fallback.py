@@ -1,78 +1,151 @@
-"""CLI fallback when a requested core rejects the configuration.
+"""Per-run core fallback on real out-of-envelope configurations.
 
-The array core (``soa``) raises ``SoaUnsupportedError`` at
-construction for configurations outside its envelope.  The CLI must
-not die with a traceback: it falls back to ``core=object`` with a
-one-line stderr notice, unless ``--strict-core`` asks for the hard
-error (clean message, exit 2).  The envelope flags are not yet
-CLI-exposed, so these tests inject the refusal at the
-``run_experiment`` seam - the CLI behavior under test is identical.
+``repro.sim.cores.build_core`` builds every run's machine: the
+requested core (``soa`` by default), or the object core when that one
+refuses the configuration.  soa refuses before it builds anything, so
+each run is built and run exactly once, on one core; the result's
+``core`` names it, and the first refusal of each reason in a process
+prints one ``falling back to core=object`` line on stderr - never on
+stdout.  ``filter_write_snoops`` (the presence filter), the metrics
+timeline and a path-dependent topology are outside soa's envelope.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.harness.cli as cli
-from repro.sim.soa import SoaUnsupportedError
+from repro.harness.cli import main
+from repro.harness.experiments import run_experiment
+from repro.harness.sweep import run_sweep
+from repro.obs.runner import run_traced
+from repro.registry import REGISTRY
+from repro.sim.soa import SoaRingMultiprocessor
+from repro.sim.system import RingMultiprocessor
+from tests.unit.test_topology import _DynamicTopology
+
+NOTICE = "falling back to core=object"
+
+FILTER_NOTICE = (
+    "flexsnoop: core=soa does not support: filter_write_snoops "
+    "(presence-filter extension); falling back to core=object\n"
+)
+
+SWEEP = [
+    "sweep", "filter_write_snoops", "--values", "false,true",
+    "--scale", "60", "--jobs", "1", "--no-cache",
+]
 
 
 @pytest.fixture
-def refusing_run_experiment(monkeypatch):
-    """``run_experiment`` that refuses array cores the way an
-    out-of-envelope construction does, recording each call's core."""
-    calls = []
-    real = cli.run_experiment
+def built(monkeypatch):
+    """``(core, filter_write_snoops)`` of every machine built to
+    completion, in order (a refused construction is not listed)."""
+    machines = []
+    for name, cls in (
+        ("object", RingMultiprocessor),
+        ("soa", SoaRingMultiprocessor),
+    ):
+        def init(self, config, *args, _name=name, _init=cls.__init__,
+                 **kwargs):
+            _init(self, config, *args, **kwargs)
+            machines.append((_name, config.filter_write_snoops))
 
-    def fake(algorithm, workload, core="object", **kwargs):
-        calls.append(core)
-        if core != "object":
-            raise SoaUnsupportedError(
-                "core=%s does not support: link_occupancy; "
-                "use core=object" % core
-            )
-        return real(
-            algorithm, workload, core=core, accesses_per_core=30, seed=1
-        )
-
-    monkeypatch.setattr(cli, "run_experiment", fake)
-    return calls
+        monkeypatch.setattr(cls, "__init__", init)
+    return machines
 
 
-def test_run_falls_back_to_object_with_warning(
-    refusing_run_experiment, capsys
-):
-    exit_code = cli.main(["run", "--core", "soa", "--scale", "30"])
-    captured = capsys.readouterr()
-    assert exit_code == 0
-    assert refusing_run_experiment == ["soa", "object"]
-    assert "falling back to core=object" in captured.err
-    assert captured.err.count("\n") == 1
-    assert "exec time" in captured.out
+def _table(stdout: str) -> str:
+    """A sweep's output below its header line (which names the cores)."""
+    return stdout.split("\n", 1)[1]
 
 
-def test_strict_core_keeps_the_hard_error(refusing_run_experiment, capsys):
-    exit_code = cli.main(
-        ["run", "--core", "soa", "--strict-core", "--scale", "30"]
+def test_mixed_sweep_runs_each_point_once_on_its_own_core(built, capsys):
+    assert main(SWEEP + ["--core", "soa"]) == 0
+    mixed = capsys.readouterr()
+    assert built == [("soa", False), ("object", True)]
+    assert mixed.err == FILTER_NOTICE
+    assert NOTICE not in mixed.out
+    assert "core=soa,object]" in mixed.out.splitlines()[0]
+
+    del built[:]
+    assert main(SWEEP + ["--core", "object"]) == 0
+    reference = capsys.readouterr()
+    assert built == [("object", False), ("object", True)]
+    assert reference.err == ""
+    assert "core=object]" in reference.out.splitlines()[0]
+    assert _table(mixed.out) == _table(reference.out)
+
+
+def test_notice_prints_once_per_reason_per_process(capsys):
+    assert main(SWEEP) == 0
+    assert main(SWEEP) == 0
+    assert capsys.readouterr().err == FILTER_NOTICE
+    assert main([
+        "sweep", "track_versions", "--values", "true",
+        "--scale", "60", "--jobs", "1", "--no-cache",
+    ]) == 0
+    err = capsys.readouterr().err
+    assert err.count(NOTICE) == 1
+    assert "track_versions" in err
+
+
+def test_pooled_sweep_falls_back_per_point(capfd):
+    sweep = run_sweep(
+        "filter_write_snoops", [False, True],
+        accesses_per_core=60, jobs=2, core="soa",
     )
-    captured = capsys.readouterr()
-    assert exit_code == 2
-    assert refusing_run_experiment == ["soa"]
-    assert "does not support" in captured.err
-    assert "falling back" not in captured.err
+    assert [point.result.core for point in sweep.points] == [
+        "soa", "object",
+    ]
+    # The worker that built the refused point printed the notice; the
+    # spawn workers inherit the parent's stderr.
+    captured = capfd.readouterr()
+    assert captured.err.count(NOTICE) == 1
+    assert NOTICE not in captured.out
 
 
-def test_object_core_error_is_never_swallowed_by_fallback(
-    monkeypatch, capsys
-):
-    """A refusal with core=object already selected cannot fall back;
-    it surfaces as the clean exit-2 error."""
+def test_in_envelope_run_prints_no_notice(built, capsys):
+    result = run_experiment("lazy", "specjbb", accesses_per_core=60)
+    assert result.core == "soa"
+    assert built == [("soa", False)]
+    assert capsys.readouterr().err == ""
 
-    def always_refuse(*args, **kwargs):
-        raise SoaUnsupportedError("core=soa does not support: tracing")
 
-    monkeypatch.setattr(cli, "run_experiment", always_refuse)
-    exit_code = cli.main(["run", "--scale", "30"])
-    captured = capsys.readouterr()
-    assert exit_code == 2
-    assert "does not support" in captured.err
+def test_run_traced_timeline_falls_back_by_the_same_rule(built, capsys):
+    traced = run_traced(
+        "lazy", "specjbb", accesses_per_core=60, sample_window=500
+    )
+    assert traced.core == traced.result.core == "object"
+    assert traced.samples
+    assert built == [("object", False)]
+    err = capsys.readouterr().err
+    assert err.count(NOTICE) == 1
+    assert "tracing.sample_window" in err
+
+    del built[:]
+    untimed = run_traced("lazy", "specjbb", accesses_per_core=60)
+    assert untimed.core == "soa"
+    assert built == [("soa", False)]
+    assert capsys.readouterr().err == ""
+    assert untimed.summary() == traced.summary()
+
+
+def test_cli_run_falls_back_on_a_path_dependent_topology(capsys):
+    REGISTRY.register(
+        "topology",
+        "oddfirst",
+        lambda config: _DynamicTopology(config.num_cmps),
+    )
+    try:
+        argv = ["run", "--topology", "oddfirst", "--scale", "60"]
+        assert main(argv) == 0
+        fallback = capsys.readouterr()
+        assert main(argv + ["--core", "object"]) == 0
+        reference = capsys.readouterr()
+    finally:
+        REGISTRY.unregister("topology", "oddfirst")
+    assert fallback.err.count(NOTICE) == 1
+    assert "topology 'oddfirst'" in fallback.err
+    assert reference.err == ""
+    assert fallback.out == reference.out
+    assert "exec time" in fallback.out

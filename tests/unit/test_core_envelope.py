@@ -112,7 +112,6 @@ def test_array_cores_raise_cleanly_outside_envelope(entry):
     message = str(excinfo.value)
     assert "core=soa does not support" in message
     assert entry[0] in message
-    assert "use core=object" in message
 
 
 @pytest.mark.parametrize("entry", CONTENTION_FLAGS, ids=_flag_id)

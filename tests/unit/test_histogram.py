@@ -148,10 +148,14 @@ def test_merge_empty_list_rejected():
         merge([])
 
 
-def test_system_populates_histogram():
+@pytest.mark.parametrize("core", ["object", "soa"])
+def test_system_populates_histogram(core):
     from repro.harness.experiments import run_experiment
 
-    result = run_experiment("lazy", "specjbb", accesses_per_core=200)
+    result = run_experiment(
+        "lazy", "specjbb", accesses_per_core=200, core=core
+    )
+    assert result.core == core
     histogram = result.stats.read_miss_histogram
     assert histogram.total == result.stats.read_miss_count
     assert histogram.mean == pytest.approx(

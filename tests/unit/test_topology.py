@@ -315,7 +315,8 @@ def test_build_topology_from_machine_config():
 
 # ----------------------------------------------------------------------
 # Dynamic topologies: object-core walker routes per hop; the fused
-# soa core refuses through the SoaUnsupportedError envelope.
+# soa core refuses through the SoaUnsupportedError envelope, and a run
+# that requests soa falls back to the object core.
 
 
 def test_dynamic_topology_object_core_runs_fused_cores_refuse():
@@ -351,18 +352,21 @@ def test_dynamic_topology_object_core_runs_fused_cores_refuse():
             "specjbb",
             accesses_per_core=60,
             topology="oddfirst",
+            core="object",
         )
         # The walk completed: every read transaction crossed all 8
         # nodes of the path-dependent cycle and came home.
+        assert result.core == "object"
         assert result.exec_time > 0
         assert result.stats.read_ring_transactions > 0
-        with pytest.raises(SoaUnsupportedError):
-            run_experiment(
-                "lazy",
-                "specjbb",
-                accesses_per_core=60,
-                topology="oddfirst",
-                core="soa",
-            )
+        fallback = run_experiment(
+            "lazy",
+            "specjbb",
+            accesses_per_core=60,
+            topology="oddfirst",
+            core="soa",
+        )
+        assert fallback.core == "object"
+        assert fallback.summary() == result.summary()
     finally:
         REGISTRY.unregister("topology", "oddfirst")
