@@ -14,9 +14,12 @@ Protocol:
    large one has >= 1M accesses).
 2. For each trace it re-invokes this script with ``--probe``, which
    replays the trace via ``repro.obs.runner.run_traced`` with a
-   streaming sink and prints its own peak RSS
-   (``getrusage(RUSAGE_SELF).ru_maxrss``) as JSON.  A fresh process
-   per probe makes the RSS numbers comparable.
+   streaming sink and prints its peak RSS as JSON: the larger of its
+   own (``getrusage(RUSAGE_SELF).ru_maxrss``) and that of its reaped
+   children (``RUSAGE_CHILDREN``), because the stream sink's events
+   are encoded in a child process that ``run_traced`` joins before it
+   returns.  A fresh process per probe makes the RSS numbers
+   comparable.
 3. The driver asserts the large replay stays under an absolute
    budget AND within ``MAX_RSS_RATIO`` of the small replay - if
    memory scaled with trace length, the ratio would approach
@@ -103,7 +106,10 @@ def probe(trace_path: str) -> None:
             sink="jsonl:%s" % events_path,
         )
         assert traced.events == [], "streaming sink must not buffer"
-        rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        rss_kb = max(
+            resource.getrusage(who).ru_maxrss
+            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+        )
         # ru_maxrss is KiB on Linux, bytes on macOS.
         if sys.platform == "darwin":
             rss_kb //= 1024

@@ -20,12 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.coherence.states import (
-    LineState,
-    SUPPLIER_STATES,
-    LOCAL_MASTER_STATES,
-    compatible,
-)
+from repro.coherence.states import ALL_STATE_BITS, LineState, compatible
 
 
 class CoherenceError(Exception):
@@ -108,39 +103,25 @@ class ProtocolTables:
         states: Dict[Tuple[int, int], LineState], address: int = 0
     ) -> None:
         """Raise :class:`CoherenceError` if the snapshot violates the
-        compatibility matrix or the mastership invariants."""
-        holders: List[Tuple[Tuple[int, int], LineState]] = [
-            (key, state)
-            for key, state in states.items()
-            if state != LineState.I
-        ]
+        compatibility matrix or the mastership invariants.
 
-        suppliers = [k for k, s in holders if s in SUPPLIER_STATES]
-        if len(suppliers) > 1:
-            raise CoherenceError(
-                "line %#x has %d global suppliers: %s"
-                % (address, len(suppliers), suppliers)
-            )
-
-        masters_per_cmp: Dict[int, List[Tuple[int, int]]] = {}
-        for key, state in holders:
-            if state in LOCAL_MASTER_STATES:
-                masters_per_cmp.setdefault(key[0], []).append(key)
-        for cmp_id, masters in masters_per_cmp.items():
-            if len(masters) > 1:
-                raise CoherenceError(
-                    "line %#x has %d local masters in CMP %d: %s"
-                    % (address, len(masters), cmp_id, masters)
-                )
-
-        for i, (key_a, state_a) in enumerate(holders):
-            for key_b, state_b in holders[i + 1 :]:
-                same_cmp = key_a[0] == key_b[0]
-                if not compatible(state_a, state_b, same_cmp=same_cmp):
-                    raise CoherenceError(
-                        "line %#x: incompatible states %s@%s and %s@%s"
-                        % (address, state_a.name, key_a, state_b.name, key_b)
-                    )
+        One pass over the snapshot, with no enum hashing: a state is
+        compatible with every earlier holder when its bit is in all
+        their ``admits`` masks and in the ``admits_same_cmp`` masks of
+        those in its CMP (``I`` admits everything and every state
+        admits ``I``).  Two suppliers, or two local masters in one CMP,
+        are always an incompatible pair, so a clean pass means all
+        three rules hold; otherwise :func:`_raise_first_violation`
+        names the violation.
+        """
+        admitted = ALL_STATE_BITS
+        per_cmp: Dict[int, int] = {}
+        for key, state in states.items():
+            same_cmp = per_cmp.get(key[0], ALL_STATE_BITS)
+            if not state.bit & admitted & same_cmp:
+                _raise_first_violation(states, address)
+            admitted &= state.admits
+            per_cmp[key[0]] = same_cmp & state.admits_same_cmp
 
     @staticmethod
     def is_consistent(states: Dict[Tuple[int, int], LineState]) -> bool:
@@ -150,3 +131,38 @@ class ProtocolTables:
         except CoherenceError:
             return False
         return True
+
+
+def _raise_first_violation(
+    states: Dict[Tuple[int, int], LineState], address: int
+) -> None:
+    """Raise the error for the first rule ``states`` breaks: two global
+    suppliers, then two local masters in one CMP, then the first
+    incompatible pair in snapshot order."""
+    holders: List[Tuple[Tuple[int, int], LineState]] = [
+        (key, state) for key, state in states.items() if state != LineState.I
+    ]
+    suppliers = [key for key, state in holders if state.supplier]
+    if len(suppliers) > 1:
+        raise CoherenceError(
+            "line %#x has %d global suppliers: %s"
+            % (address, len(suppliers), suppliers)
+        )
+    masters_per_cmp: Dict[int, List[Tuple[int, int]]] = {}
+    for key, state in holders:
+        if state.local_master:
+            masters_per_cmp.setdefault(key[0], []).append(key)
+    for cmp_id, masters in masters_per_cmp.items():
+        if len(masters) > 1:
+            raise CoherenceError(
+                "line %#x has %d local masters in CMP %d: %s"
+                % (address, len(masters), cmp_id, masters)
+            )
+    for i, (key_a, state_a) in enumerate(holders):
+        for key_b, state_b in holders[i + 1 :]:
+            same_cmp = key_a[0] == key_b[0]
+            if not compatible(state_a, state_b, same_cmp=same_cmp):
+                raise CoherenceError(
+                    "line %#x: incompatible states %s@%s and %s@%s"
+                    % (address, state_a.name, key_a, state_b.name, key_b)
+                )

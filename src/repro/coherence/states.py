@@ -124,6 +124,27 @@ _COMPATIBLE_SAME_CMP = {
 }
 
 
+# The matrix again as bit masks on the members, for checks that must
+# not hash the enum: ``state.bit`` is the state's own bit, and
+# ``state.admits`` / ``state.admits_same_cmp`` are the bits of the
+# states ``_COMPATIBLE_ANY[state]`` / ``_COMPATIBLE_SAME_CMP[state]``
+# allow.  Every state admits at least as much from another CMP as from
+# its own, which lets a check fold the two masks (see
+# ``ProtocolTables.check_line``).
+for _index, _state in enumerate(LineState):
+    _state.bit = 1 << _index
+for _state in LineState:
+    _state.admits = sum(other.bit for other in _COMPATIBLE_ANY[_state])
+    _state.admits_same_cmp = sum(
+        other.bit for other in _COMPATIBLE_SAME_CMP[_state]
+    )
+    assert _state.admits_same_cmp & ~_state.admits == 0
+del _index, _state
+
+#: Every state's bit.
+ALL_STATE_BITS = sum(state.bit for state in LineState)
+
+
 def compatible(a: LineState, b: LineState, same_cmp: bool) -> bool:
     """True if two caches may simultaneously hold a line in states
     ``a`` and ``b``, given whether the caches sit in the same CMP.

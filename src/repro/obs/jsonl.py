@@ -16,21 +16,34 @@ Byte-identity contract: every event line is exactly
 ``json.dumps(event_to_json(event), sort_keys=True)``.
 :func:`encode_event` produces those bytes without building the dict
 or a new encoder per event.  :class:`TraceReader` yields a file's
-events lazily and :func:`read_trace` lists them; both parse each line
-once and reject every line that is not one event object (or the meta
-header) with a ``ValueError`` naming the line.
+events lazily and :func:`read_trace` lists them; both reject every
+line that is not one event object (or the meta header) with a
+``ValueError`` naming the line.
+
+The reader parses a block of lines (``READ_BLOCK`` characters) with
+one ``json.loads`` when the block provably holds one object per line
+(:func:`_block_items` says why the rule suffices) and builds the
+common event - int fields, a known type, an object payload - from
+each item directly.  Every other line, and every line of a block that
+fails the rule, goes through the per-line code
+(``TraceReader._line_event``), which is the reference for what is
+accepted and for every error text.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.obs.trace import EventType, TraceEvent
 
 #: Event lines the writer joins into one ``write`` call.
 WRITE_CHUNK = 1024
+
+#: Characters a reader's ``readlines`` hint asks for per block.
+READ_BLOCK = 1 << 16
 
 #: An event line with its ``data`` object and ``ev`` string spliced in:
 #: the top-level keys in ``sort_keys`` order, json's default separators.
@@ -61,6 +74,8 @@ else:  # an interpreter without the _json accelerator
 #: ``ev`` string -> member: a dict lookup instead of ``EventType(...)``.
 _EVENT_TYPES = {member.value: member for member in EventType}
 _new_tuple = tuple.__new__
+_raw_decode = json.JSONDecoder().raw_decode
+_first_char = itemgetter(0)
 
 
 def event_to_json(event: TraceEvent) -> Dict[str, Any]:
@@ -187,48 +202,114 @@ class TraceReader:
             break  # the header is read
 
     def __iter__(self) -> Iterator[TraceEvent]:
+        line_event = self._line_event
+        types = _EVENT_TYPES
+        with open(self.path, "r", encoding="utf-8") as handle:
+            first = 1  # the block's first line number
+            while True:
+                lines = handle.readlines(READ_BLOCK)
+                if not lines:
+                    return
+                items = _block_items(lines)
+                if items is None:
+                    for lineno, line in enumerate(lines, first):
+                        event = line_event(lineno, line)
+                        if event is not None:
+                            yield event
+                    first += len(lines)
+                    continue
+                for index, item in enumerate(items):
+                    # The common line, an event with int fields and an
+                    # object payload, is built here; any other line goes
+                    # through the per-line code.
+                    try:
+                        time, name, txn = item["t"], item["ev"], item["txn"]
+                        node, address = item["node"], item["addr"]
+                        data = item["data"]
+                    except KeyError:
+                        time = None  # fails the first test below
+                    if (
+                        type(time) is int
+                        and type(txn) is int
+                        and type(node) is int
+                        and type(address) is int
+                        and type(data) is dict
+                        and type(name) is str
+                    ):
+                        kind = types.get(name)
+                        if kind is not None:
+                            yield _new_tuple(
+                                TraceEvent,
+                                (time, kind, txn, node, address, data),
+                            )
+                            continue
+                    event = line_event(first + index, lines[index])
+                    if event is not None:
+                        yield event
+                first += len(lines)
+
+    def _line_event(self, lineno: int, line: str) -> Optional[TraceEvent]:
+        """Line ``lineno``'s event, or ``None`` for a blank or meta
+        line (merged into ``meta``); ``ValueError`` for any other."""
         path = self.path
-        meta = self.meta
-        raw_decode = json.JSONDecoder().raw_decode
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload, end = raw_decode(line)
-                except json.JSONDecodeError:
-                    end = -1
-                if end != len(line):
-                    # Not exactly one JSON value: json.loads raises its
-                    # own error for the line ("Extra data", a BOM, ...).
-                    try:
-                        json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(
-                            "%s:%d: malformed JSON: %s" % (path, lineno, exc)
-                        ) from exc
-                if type(payload) is not dict:
-                    raise ValueError(
-                        "%s:%d: malformed event: not a JSON object: %.40s"
-                        % (path, lineno, line)
-                    )
-                if "meta" in payload and "ev" not in payload:
-                    try:
-                        meta.update(payload["meta"])
-                    except (TypeError, ValueError) as exc:
-                        raise ValueError(
-                            "%s:%d: malformed meta header: %s"
-                            % (path, lineno, exc)
-                        ) from exc
-                    continue
-                try:
-                    event = event_from_json(payload)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(
-                        "%s:%d: malformed event: %s" % (path, lineno, exc)
-                    ) from exc
-                yield event
+        line = line.strip()
+        if not line:
+            return None
+        try:
+            payload, end = _raw_decode(line)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(line):
+            # Not exactly one JSON value: json.loads raises its own
+            # error for the line ("Extra data", a BOM, ...).
+            try:
+                json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    "%s:%d: malformed JSON: %s" % (path, lineno, exc)
+                ) from exc
+        if type(payload) is not dict:
+            raise ValueError(
+                "%s:%d: malformed event: not a JSON object: %.40s"
+                % (path, lineno, line)
+            )
+        if "meta" in payload and "ev" not in payload:
+            try:
+                self.meta.update(payload["meta"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    "%s:%d: malformed meta header: %s" % (path, lineno, exc)
+                ) from exc
+            return None
+        try:
+            return event_from_json(payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                "%s:%d: malformed event: %s" % (path, lineno, exc)
+            ) from exc
+
+
+def _block_items(lines: List[str]) -> Optional[List[Any]]:
+    """The objects of a block of lines, parsed with one ``json.loads``,
+    or ``None`` unless each line provably holds exactly one object.
+
+    Every line must start with ``{`` and the block must hold no ``[``.
+    Strict JSON has no raw newline inside a string, so an object still
+    open at a line's end would meet the next line's ``,{`` and fail
+    the parse; without arrays, no value spans two lines.  Each line
+    then holds at least one of the array's items, and as many items
+    as lines means exactly one each.
+    """
+    if set(map(_first_char, lines)) != {"{"}:
+        return None
+    text = ",".join(lines)
+    if "[" in text:
+        return None
+    try:
+        items = json.loads("[" + text + "]")
+    except (ValueError, RecursionError):
+        return None  # the per-line code finds the line and its error
+    return items if len(items) == len(lines) else None
 
 
 def read_trace(path: str) -> Tuple[Dict[str, Any], List[TraceEvent]]:

@@ -42,7 +42,7 @@ import enum
 import os
 import shutil
 import tempfile
-from typing import IO, Any, List, Mapping, NamedTuple, Optional
+from typing import IO, Any, Callable, List, Mapping, NamedTuple, Optional
 
 
 class EventType(enum.Enum):
@@ -192,6 +192,27 @@ class JsonlStreamSink(TraceSink):
         if len(lines) == self._chunk:
             spool.write("\n".join(lines) + "\n")
             lines.clear()
+
+    def hand_off(self, fork: Callable[[], None]) -> None:
+        """Give this sink to the process ``fork`` starts.
+
+        The forked copy of the sink shares the open files and writes
+        them at its :meth:`close`.  The files are flushed first, so no
+        buffered write is made twice; after ``fork`` returns, this copy
+        is closed without writing anything (:meth:`emit` then raises
+        and :meth:`close` does nothing).  If ``fork`` raises, the sink
+        is left open, as it was.
+        """
+        handle, spool = self._handle, self._spool
+        if handle is None or spool is None:
+            raise ValueError("sink is closed")
+        spool.flush()
+        handle.flush()
+        fork()
+        self._handle = self._spool = None
+        self._lines = []
+        spool.close()
+        handle.close()
 
     def close(self) -> None:
         handle, spool = self._handle, self._spool

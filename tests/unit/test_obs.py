@@ -7,6 +7,11 @@ exercised against hand-built traces that violate each rule in turn.
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import threading
+from multiprocessing.process import BaseProcess
+
 import pytest
 
 from repro.config import TraceConfig, default_machine
@@ -20,6 +25,7 @@ from repro.obs.jsonl import (
     write_trace,
 )
 from repro.obs.render import filter_events, render_timeline, select_events
+from repro.obs import runner
 from repro.obs.runner import run_traced
 from repro.obs.trace import (
     NO_TXN,
@@ -27,6 +33,7 @@ from repro.obs.trace import (
     InMemorySink,
     JsonlStreamSink,
     TraceEvent,
+    TraceSink,
 )
 from repro.sim.soa import SoaRingMultiprocessor
 from repro.sim.system import RingMultiprocessor
@@ -213,6 +220,276 @@ def test_sinks_resolve_through_registry():
     assert "memory" in REGISTRY.names("sink")
     assert "jsonl" in REGISTRY.names("sink")
     assert isinstance(REGISTRY.create("sink", "memory"), InMemorySink)
+
+
+# ----------------------------------------------------------------------
+# run_traced's consumer: a forked process for a stream sink
+
+#: A golden cell (tests/golden/summaries.json) at the golden scale,
+#: recorded as ``trace record --check-invariants --audit`` records.
+CELL = ("lazy", "specweb")
+CELL_OPTIONS = dict(
+    accesses_per_core=200,
+    warmup_fraction=0.35,
+    check_invariants=True,
+    audit=True,
+)
+
+
+class _Relay(TraceSink):
+    """Stands between a machine and run_traced's tee: ``rewrite``
+    maps the emission count and event to the events passed on."""
+
+    def __init__(self, inner, rewrite):
+        self.inner = inner
+        self.rewrite = rewrite
+        self.count = 0
+
+    def emit(self, event):
+        self.count += 1
+        for out in self.rewrite(self.count, event):
+            self.inner.emit(out)
+
+
+@pytest.fixture
+def relay(monkeypatch):
+    """Route every run_traced machine's events through a ``_Relay``."""
+    build_core = runner.build_core
+
+    def install(rewrite):
+        def build(*args, trace_sink, **kwargs):
+            return build_core(
+                *args, trace_sink=_Relay(trace_sink, rewrite), **kwargs
+            )
+
+        monkeypatch.setattr(runner, "build_core", build)
+
+    return install
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """Counts the processes started; none may be left afterwards."""
+    count = []
+    start = BaseProcess.start
+
+    def counted(self):
+        count.append(self)
+        return start(self)
+
+    monkeypatch.setattr(BaseProcess, "start", counted)
+    yield count
+    assert multiprocessing.active_children() == []
+
+
+def _record(path):
+    return run_traced(*CELL, sink=JsonlStreamSink(str(path)), **CELL_OPTIONS)
+
+
+def _in_memory(sink="memory"):
+    return run_traced(*CELL, sink=sink, **CELL_OPTIONS)
+
+
+def _assert_same_run(tmp_path, streamed, path, reference):
+    written = tmp_path / "reference.jsonl"
+    write_trace(str(written), reference.events, reference.meta)
+    assert path.read_bytes() == written.read_bytes()
+    assert streamed.violations == reference.violations
+    assert streamed.transactions == reference.transactions
+    assert streamed.meta == reference.meta
+    assert streamed.events == []
+
+
+def test_stream_sink_run_matches_the_memory_sink_run(tmp_path, starts):
+    path = tmp_path / "trace.jsonl"
+    streamed = _record(path)
+    assert len(starts) == 1  # one consumer process
+    reference = _in_memory()
+    assert len(starts) == 1  # a memory sink is consumed in the caller
+    assert streamed.violations == []
+    assert streamed.meta["num_events"] == len(reference.events) > 1000
+    _assert_same_run(tmp_path, streamed, path, reference)
+
+
+def test_consumer_in_the_caller_when_the_process_cannot_start(
+    tmp_path, monkeypatch
+):
+    def refuse(self):
+        raise OSError("no processes here")
+
+    monkeypatch.setattr(BaseProcess, "start", refuse)
+    path = tmp_path / "trace.jsonl"
+    with pytest.warns(RuntimeWarning, match="no processes here") as caught:
+        streamed = _record(path)
+    assert len(caught) == 1
+    assert multiprocessing.active_children() == []
+    _assert_same_run(tmp_path, streamed, path, _in_memory())
+
+
+def test_consumer_in_the_caller_without_fork(tmp_path, monkeypatch, starts):
+    get_context = multiprocessing.get_context
+
+    def no_fork(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    path = tmp_path / "trace.jsonl"
+    streamed = _record(path)
+    assert starts == []
+    _assert_same_run(tmp_path, streamed, path, _in_memory())
+
+
+def test_consumer_in_the_caller_beside_other_threads(tmp_path, starts):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        path = tmp_path / "trace.jsonl"
+        streamed = _record(path)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert starts == []
+    _assert_same_run(tmp_path, streamed, path, _in_memory())
+
+
+def test_a_stream_sink_with_events_keeps_them_across_the_fork(
+    tmp_path, starts
+):
+    """Events emitted into the sink before the run, spooled or still
+    in its line buffer, reach the file once, and the run's follow."""
+    before = _clean_txn(txn=10**6) * 300
+    path = tmp_path / "trace.jsonl"
+    sink = JsonlStreamSink(str(path))
+    for event in before:
+        sink.emit(event)
+    streamed = run_traced(*CELL, sink=sink, **CELL_OPTIONS)
+    assert len(starts) == 1
+    reference = _in_memory()
+    written = tmp_path / "reference.jsonl"
+    write_trace(str(written), before + reference.events, streamed.meta)
+    assert path.read_bytes() == written.read_bytes()
+
+
+def _fail_on_check(monkeypatch, calls, error):
+    """Make the Nth per-retire invariant check raise ``error``; clear
+    the returned list of calls to count again."""
+    from repro.coherence import protocol
+
+    check_line = protocol.ProtocolTables.check_line
+    seen = []
+
+    def failing(states, address=0):
+        seen.append(address)
+        if len(seen) == calls:
+            raise error
+        return check_line(states, address)
+
+    monkeypatch.setattr(
+        protocol.ProtocolTables, "check_line", staticmethod(failing)
+    )
+    return seen
+
+
+def test_a_failing_run_leaves_the_partial_file(tmp_path, monkeypatch, starts):
+    """The simulation's error propagates, and the file holds the pre-run
+    header and every event emitted before it: up to the retirement
+    whose invariant check raised, mid-batch."""
+    from repro.coherence.protocol import CoherenceError
+
+    full = _in_memory().events
+    calls = _fail_on_check(monkeypatch, 40, CoherenceError("planted"))
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(CoherenceError, match="^planted$"):
+        _record(path)
+    assert len(starts) == 1
+    meta, events = read_trace(str(path))
+    assert "exec_time" not in meta and "num_events" not in meta
+    assert meta["algorithm"] == CELL[0]
+    assert 0 < len(events) < len(full)
+    assert events == full[: len(events)]
+    assert events[-1].type is EventType.RETIRE
+    # The same run into a memory sink sees the same events.
+    sink = InMemorySink()
+    calls.clear()
+    with pytest.raises(CoherenceError, match="^planted$"):
+        _in_memory(sink)
+    assert sink.events == events
+    assert sink.meta == meta
+
+
+def test_an_interrupted_run_joins_its_process(tmp_path, monkeypatch, starts):
+    full = _in_memory().events
+    _fail_on_check(monkeypatch, 40, KeyboardInterrupt())
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        _record(path)
+    assert len(starts) == 1
+    # The batch in flight is dropped; the file is still a valid trace.
+    meta, events = read_trace(str(path))
+    assert "num_events" not in meta
+    assert events == full[: len(events)]
+
+
+@pytest.mark.parametrize("from_end", [False, True])
+def test_an_unencodable_payload_raises_the_encoders_error(
+    tmp_path, relay, starts, from_end
+):
+    """Mid-run, or in the last batch (which the process gets only
+    after the run): the encoder's error, and the events before it
+    under the pre-run header."""
+    poison = {"bad": {1, 2}}
+    full = _in_memory().events
+    at = len(full) - 5 if from_end else 3000
+
+    def rewrite(count, event):
+        return [event._replace(data=poison) if count == at else event]
+
+    relay(rewrite)
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(TypeError) as excinfo:
+        _record(path)
+    with pytest.raises(TypeError) as expected:
+        json.dumps(poison)
+    assert str(excinfo.value) == str(expected.value)
+    assert len(starts) == 1
+    meta, events = read_trace(str(path))
+    assert "num_events" not in meta
+    assert events == full[: at - 1]
+
+
+def test_a_late_event_is_reaudited_from_the_file(tmp_path, relay, starts):
+    """An event for a transaction that closed long before reaches the
+    consumer process, whose second pass reads the file back."""
+    from repro.obs.audit import auditor_for
+
+    retired = []
+
+    def rewrite(count, event):
+        if event.type is EventType.RETIRE and not retired:
+            retired.append(event)
+        if count == 2000:
+            return [event, retired[0]]
+        return [event]
+
+    relay(rewrite)
+    path = tmp_path / "trace.jsonl"
+    streamed = _record(path)
+    retired.clear()
+    reference = _in_memory()
+    _assert_same_run(tmp_path, streamed, path, reference)
+    assert "lifecycle" in _rules(streamed.violations)
+    meta, events = read_trace(str(path))
+    assert streamed.violations == auditor_for(meta).audit(events)
+    # Online, the duplicate arrives after its transaction closed.
+    auditor = auditor_for(meta)
+    for event in events:
+        auditor.feed(event)
+    with pytest.raises(ValueError, match="after they closed"):
+        auditor.finish()
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ invariant checker."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.coherence.protocol import (
     CoherenceError,
@@ -15,7 +17,12 @@ from repro.coherence.protocol import (
     supplier_next_state_on_read,
     writer_state,
 )
-from repro.coherence.states import LineState
+from repro.coherence.states import (
+    LOCAL_MASTER_STATES,
+    SUPPLIER_STATES,
+    LineState,
+    compatible,
+)
 
 
 # ----------------------------------------------------------------------
@@ -149,4 +156,58 @@ def test_is_consistent_boolean_form():
     assert ProtocolTables.is_consistent({(0, 0): LineState.D})
     assert not ProtocolTables.is_consistent(
         {(0, 0): LineState.D, (1, 0): LineState.S}
+    )
+
+
+def _pairwise_check_line(states, address=0):
+    """The checker as first written, kept as the reference: list the
+    holders, the suppliers and the masters per CMP, then test every
+    pair against the matrix."""
+    holders = [(k, s) for k, s in states.items() if s != LineState.I]
+    suppliers = [k for k, s in holders if s in SUPPLIER_STATES]
+    if len(suppliers) > 1:
+        raise CoherenceError(
+            "line %#x has %d global suppliers: %s"
+            % (address, len(suppliers), suppliers)
+        )
+    masters_per_cmp = {}
+    for key, state in holders:
+        if state in LOCAL_MASTER_STATES:
+            masters_per_cmp.setdefault(key[0], []).append(key)
+    for cmp_id, masters in masters_per_cmp.items():
+        if len(masters) > 1:
+            raise CoherenceError(
+                "line %#x has %d local masters in CMP %d: %s"
+                % (address, len(masters), cmp_id, masters)
+            )
+    for i, (key_a, state_a) in enumerate(holders):
+        for key_b, state_b in holders[i + 1 :]:
+            if not compatible(state_a, state_b, key_a[0] == key_b[0]):
+                raise CoherenceError(
+                    "line %#x: incompatible states %s@%s and %s@%s"
+                    % (address, state_a.name, key_a, state_b.name, key_b)
+                )
+
+
+def _outcome(check, states):
+    try:
+        check(states, 0x40)
+    except CoherenceError as exc:
+        return str(exc)
+    return None
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.sampled_from(LineState),
+        max_size=8,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_check_line_raises_what_the_pairwise_reference_raises(states):
+    """The one-pass checker accepts what the pairwise reference accepts
+    and raises its first error, text included."""
+    assert _outcome(ProtocolTables.check_line, states) == _outcome(
+        _pairwise_check_line, states
     )
