@@ -9,12 +9,14 @@ ring segment between two CMPs on one package is fast, and the segment
 that crosses packages is slow - the same "hierarchy in the segment
 timing" idea as the builtin ``hier_ring``, with a different floorplan.
 
-Because the chiplet ring is still one static Hamiltonian cycle, it
-exports successor/latency tables and runs on *both* simulation
-cores (object, soa) unchanged.  The second half shows the other
-side of that contract: a path-dependent topology that cannot export
-tables runs on the object core's per-hop walker; the fused soa core
-declines it, and a run that asks for soa falls back to object.
+Both simulation cores (object, soa) walk the rows that
+``SnoopTopology.export_tables`` unrolls once per run, one visiting
+order per requester.  The chiplet ring is one static Hamiltonian
+cycle, so all of its rows name the same successors.  The second half
+shows a path-dependent topology: ``route`` gives each requester its
+own order, and both cores run it the same way.  The one rule is that
+``route`` reads only its arguments, so the rows can be built before
+the run.
 
 A third-party package registers the same factory with an entry point:
 
@@ -77,9 +79,8 @@ def make_chiplet_ring(config) -> ChipletRing:
 class OddFirstTopology(SnoopTopology):
     """Path-dependent walk: visit odd nodes first, then even ones.
 
-    There is no single successor table (node 7's next hop depends on
-    what was already visited), so ``successors()`` declines and only
-    the object core's per-hop ``route()`` walker can drive it.
+    There is no single successor cycle (node 7's next hop depends on
+    who asked), so each requester's walk unrolls into its own row.
     """
 
     kind = "odd_first"
@@ -94,9 +95,6 @@ class OddFirstTopology(SnoopTopology):
         if odd:
             return odd[0]
         return remaining[0] if remaining else requester
-
-    def successors(self):
-        raise NotImplementedError("routing is path-dependent")
 
     def segment_latency(self, node):
         return 39
@@ -137,40 +135,22 @@ def main() -> None:
         )
 
     print()
-    print("custom topologies run on the fused core too (static tables):")
-    soa = run_experiment(
-        "lazy", "splash2", accesses_per_core=400,
-        topology="chiplet_ring", core="soa",
-    )
-    obj = run_experiment(
-        "lazy", "splash2", accesses_per_core=400,
-        topology="chiplet_ring", core="object",
-    )
-    # A refusal would fall back to object and compare it with itself.
-    assert soa.core == "soa", "soa declined chiplet_ring"
-    print(
-        "  core=%s matches core=object: %s (exec time %d)"
-        % (soa.core, soa.summary() == obj.summary(), soa.exec_time)
-    )
-
-    print()
-    print("a path-dependent topology only runs on the object core:")
-    dynamic = run_experiment(
-        "lazy", "splash2", accesses_per_core=400,
-        topology="odd_first", core="object",
-    )
-    print("  object core walked it fine: exec time %d" % dynamic.exec_time)
-    # soa declines before it builds anything (one notice on stderr),
-    # so the run falls back to the object core; the result says so.
-    fallback = run_experiment(
-        "lazy", "splash2", accesses_per_core=400,
-        topology="odd_first", core="soa",
-    )
-    print(
-        "  core=soa declined as designed; core=%s ran it (same "
-        "result: %s)"
-        % (fallback.core, fallback.summary() == dynamic.summary())
-    )
+    print("both custom topologies run on the fused core, equal to object:")
+    for topology in ("chiplet_ring", "odd_first"):
+        soa, obj = (
+            run_experiment(
+                "lazy", "splash2", accesses_per_core=400,
+                topology=topology, core=core,
+            )
+            for core in ("soa", "object")
+        )
+        # A refusal would fall back to object and compare it with itself.
+        assert soa.core == "soa", "soa declined %s" % topology
+        assert soa.summary() == obj.summary(), topology
+        print(
+            "  %-12s core=soa matches core=object (exec time %d)"
+            % (topology, soa.exec_time)
+        )
 
 
 if __name__ == "__main__":

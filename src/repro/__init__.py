@@ -28,7 +28,6 @@ from repro.config import (
     MemoryConfig,
     NAMED_PREDICTORS,
     PredictorConfig,
-    ProcessorConfig,
     RingConfig,
     default_machine,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "MemoryConfig",
     "NAMED_PREDICTORS",
     "PredictorConfig",
-    "ProcessorConfig",
     "RingConfig",
     "default_machine",
     "ALGORITHMS",

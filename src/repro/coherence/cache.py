@@ -149,9 +149,6 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     # Lookup
 
-    def _set_for(self, address: int) -> "OrderedDict[int, CacheLine]":
-        return self._sets[address % self._num_sets]
-
     def lookup(self, address: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the resident line, updating LRU order on a hit."""
         cache_set = self._sets[address % self._num_sets]

@@ -26,16 +26,12 @@ class RingConfig:
             snoop operation occupies at a node (cycles).  The paper
             breaks the 55 cycles into 38 cycles of on-chip transmission,
             10 cycles of arbitration and 7 cycles of L2 snooping.
-        gateway_latency: fixed gateway processing overhead applied when
-            a message is received and re-emitted without snooping
-            (cycles).  Kept small; the paper folds it into hop latency.
         num_rings: number of embedded rings; snoop requests are mapped
             to rings by line address to balance load.
     """
 
     hop_latency: int = 39
     snoop_time: int = 55
-    gateway_latency: int = 0
     num_rings: int = 2
     #: Cycles a ring link is occupied per message (0 = unlimited
     #: bandwidth, the paper's "unloaded" analysis).  With a non-zero
@@ -132,13 +128,13 @@ class MemoryConfig:
 class CacheConfig:
     """Geometry of one private L2 cache.
 
-    The simulator tracks lines, not bytes: ``num_lines`` is
-    ``size / line_size`` (512 KB / 64 B = 8192 lines by default).
+    The simulator tracks lines, not bytes: ``num_lines`` is the
+    cache size over the line size (512 KB / 64 B = 8192 lines by
+    default).
     """
 
     num_lines: int = 8192
     associativity: int = 8
-    line_size: int = 64
     hit_latency: int = 11
     local_master_latency: int = 55
 
@@ -289,20 +285,6 @@ class TraceConfig:
 
 
 @dataclass(frozen=True)
-class ProcessorConfig:
-    """Trace-replay timing model of one core.
-
-    Cores replay a trace of L2-level accesses.  Between consecutive
-    accesses the core computes for the access's ``think_time`` cycles.
-    Read misses block the core until data arrives; writes block until
-    the invalidation acknowledgement returns (conservative).
-    """
-
-    default_think_time: int = 12
-    max_outstanding_writes: int = 1
-
-
-@dataclass(frozen=True)
 class MachineConfig:
     """Complete configuration of the simulated multiprocessor."""
 
@@ -315,7 +297,6 @@ class MachineConfig:
     cache: CacheConfig = field(default_factory=CacheConfig)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     energy: EnergyConfig = field(default_factory=EnergyConfig)
-    processor: ProcessorConfig = field(default_factory=ProcessorConfig)
     track_versions: bool = False
     check_invariants: bool = False
     squash_backoff: int = 200

@@ -190,19 +190,6 @@ class ExperimentMatrix:
             for algorithm in self.algorithms
         ]
 
-    def sensitivity_cells(self) -> List[MatrixCell]:
-        """Extra cells of the predictor sensitivity study (Figures
-        10/11): every named predictor variant, plus the Lazy baseline
-        runs fig11 reads the Perfect reference from."""
-        cells: List[MatrixCell] = []
-        for workload in self.workloads:
-            cells.append(("lazy", workload, None))
-            for algorithm, predictors in SENSITIVITY_PREDICTORS.items():
-                cells.append((algorithm, workload, None))
-                for predictor in predictors:
-                    cells.append((algorithm, workload, predictor))
-        return cells
-
     def _normalized_cells(self) -> List[MatrixCell]:
         """Main cells plus the Lazy baselines the normalized figures
         divide by (Lazy may be absent from a restricted matrix)."""

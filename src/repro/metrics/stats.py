@@ -157,15 +157,6 @@ class RunStats:
         return self.read_snoops / self.read_ring_transactions
 
     @property
-    def read_messages_per_request(self) -> float:
-        """Ring segment crossings per read request, divided by the
-        ring length is applied by callers; raw per-request crossings
-        here."""
-        if self.read_ring_transactions == 0:
-            return 0.0
-        return self.read_ring_crossings / self.read_ring_transactions
-
-    @property
     def supplier_found_fraction(self) -> float:
         """Fraction of ring reads answered cache-to-cache."""
         total = self.reads_supplied_by_cache + self.reads_supplied_by_memory

@@ -13,8 +13,9 @@ states after the fact); the auditor checks the *mechanism*:
 * **Lifecycle** - every issued transaction retires exactly once, the
   issue comes first, and only a retry may follow retirement.
 * **Ring conservation** (Table 2) - the request/combined form of every
-  message crosses exactly ``num_cmps`` segments, hop-by-hop around the
-  ring from the requester back to the requester, with no teleports.
+  message crosses exactly ``num_cmps`` segments, hop-by-hop along its
+  requester's walk from the requester back to the requester, with no
+  teleports.
 * **Recombination** - a ``snoop_then_forward`` snoop always forwards a
   single Combined R/R: the transaction's next hop must be combined
   (the primitive never emits a separate reply).
@@ -162,6 +163,11 @@ class TraceAuditor:
             single embedded ring; traced runs on other topologies
             persist their cycle in the trace metadata
             (``meta["successors"]``) for replayed audits.
+        successor_rows: for a path-dependent topology, one successor
+            list per requester (``successor_rows[r][i]`` is the node
+            after ``i`` on the walk from ``r``), persisted as
+            ``meta["successor_rows"]``; each hop is checked against
+            its issuing requester's row.  Overrides ``successors``.
         table: the audited algorithm's static
             :class:`~repro.core.decision.DecisionTable`; enables the
             policy-guarantee checks (skipped when ``None``, e.g. for
@@ -174,20 +180,31 @@ class TraceAuditor:
         self,
         num_cmps: int,
         successors: Optional[Sequence[int]] = None,
+        successor_rows: Optional[Sequence[Sequence[int]]] = None,
         table: Optional[DecisionTable] = None,
         decouple_writes: Optional[bool] = None,
     ) -> None:
         if num_cmps < 2:
             raise ValueError("need at least 2 CMPs for a ring")
         self.num_cmps = num_cmps
-        if successors is None:
-            successors = ring_successors(num_cmps)
-        self._succ = [int(node) for node in successors]
-        if sorted(self._succ) != list(range(num_cmps)):
+        if successor_rows is None:
+            if successors is None:
+                successors = ring_successors(num_cmps)
+            successor_rows = [successors] * num_cmps
+        if len(successor_rows) != num_cmps:
             raise ValueError(
-                "successor table is not a permutation of %d nodes"
-                % num_cmps
+                "%d successor rows for %d nodes"
+                % (len(successor_rows), num_cmps)
             )
+        # One successor list per requester: the hop check indexes the
+        # issuing requester's row.
+        self._rows = [[int(node) for node in row] for row in successor_rows]
+        for row in self._rows:
+            if sorted(row) != list(range(num_cmps)):
+                raise ValueError(
+                    "successor table is not a permutation of %d nodes"
+                    % num_cmps
+                )
         self._table = table
         self._decouple_writes = decouple_writes
         if table is not None:
@@ -481,7 +498,17 @@ class TraceAuditor:
                 % (len(hops), n),
             )
             return
-        succ = self._succ
+        if not 0 <= issue.node < n:
+            # A trace read back from a file may name any node; only an
+            # in-range requester has a row to walk.
+            flag(
+                "conservation",
+                issue.time,
+                "issued at node %d, outside the %d-node ring"
+                % (issue.node, n),
+            )
+            return
+        succ = self._rows[issue.node]
         expected_from = issue.node
         for hop in hops:
             if hop.node != expected_from:
@@ -895,12 +922,14 @@ def _closes(events: List[TraceEvent]) -> bool:
 def auditor_for(meta: Mapping[str, Any], num_cmps: int = 0) -> TraceAuditor:
     """The auditor a trace's metadata describes.
 
-    The ring size and successor cycle come from ``meta`` (``num_cmps``
-    overrides the ring size, and then the recorded cycle is ignored:
-    the header's geometry is being second-guessed).  The policy
-    guarantees come from ``meta["algorithm"]``'s static decision table
-    and write-snoop form; an algorithm this install does not know (a
-    trace recorded with a plugin) gets the policy-agnostic checks.
+    The ring size and the walk come from ``meta``: its successor cycle
+    (``successors``) or per-requester rows (``successor_rows``), else
+    the flat ring's cycle.  ``num_cmps`` overrides the ring size, and
+    then the recorded walk is ignored: the header's geometry is being
+    second-guessed.  The policy guarantees come from
+    ``meta["algorithm"]``'s static decision table and write-snoop form;
+    an algorithm this install does not know (a trace recorded with a
+    plugin) gets the policy-agnostic checks.
     """
     from repro.core.algorithms import build_algorithm
     from repro.registry import UnknownComponentError
@@ -920,5 +949,6 @@ def auditor_for(meta: Mapping[str, Any], num_cmps: int = 0) -> TraceAuditor:
     return TraceAuditor(
         num_cmps=num_cmps or meta.get("num_cmps") or 8,
         successors=None if num_cmps else meta.get("successors"),
+        successor_rows=None if num_cmps else meta.get("successor_rows"),
         **policy,
     )

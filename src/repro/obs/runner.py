@@ -13,10 +13,9 @@ bundled as a :class:`TracedRun`.
 The machine comes from :func:`~repro.sim.cores.build_core`, as every
 run's does: the default core (``soa``) whenever its envelope covers
 the resolved machine, and the object core otherwise (the metrics
-timeline, the write filter, version tracking, a topology without
-static tables).  Both cores emit the same events, so the choice
-changes the run's speed, not its trace; :attr:`TracedRun.core` names
-the core that ran.  No work is rerun.
+timeline, the write filter, version tracking).  Both cores emit the
+same events, so the choice changes the run's speed, not its trace;
+:attr:`TracedRun.core` names the core that ran.  No work is rerun.
 
 With a file-backed sink the events stream to disk as they are
 emitted and :attr:`TracedRun.events` stays empty - recording a
@@ -108,6 +107,7 @@ from repro.obs.trace import (
     TraceSink,
     resolve_sink,
 )
+from repro.ring.topology import build_topology
 from repro.sim.cores import DEFAULT_CORE, build_core
 from repro.sim.system import RingMultiprocessor, SimulationResult
 
@@ -377,6 +377,25 @@ def _reply(conn: Any, outcome: Any) -> None:
         conn.send_bytes(data)
 
 
+def walk_meta(machine: MachineConfig) -> Dict[str, Any]:
+    """The trace header's walk field, derived from the exported rows
+    of ``machine``'s topology.
+
+    The auditor needs the walk to check per-segment conservation, so
+    it is persisted with the trace rather than re-derived.  The flat
+    ring writes nothing (the auditor's default cycle).  Any other
+    topology whose rows all name the same successors writes that
+    cycle as ``successors``; a path-dependent one writes every
+    requester's successor row as ``successor_rows``.
+    """
+    if machine.topology.kind == "ring":
+        return {}
+    rows = [row.successor for row in build_topology(machine).export_tables()]
+    if all(row == rows[0] for row in rows):
+        return {"successors": rows[0]}
+    return {"successor_rows": rows}
+
+
 def run_traced(
     algorithm: str,
     workload: str,
@@ -470,13 +489,7 @@ def run_traced(
             # Keyed only when re-paced so native-pacing trace headers stay
             # byte-identical to pre-axis captures.
             meta["think_scale"] = think_scale
-        if machine.topology.kind != "ring":
-            # Non-ring walks hop along a different successor cycle; the
-            # auditor needs it to check per-segment conservation, so it is
-            # persisted with the trace rather than re-derived.
-            from repro.ring.topology import build_topology
-
-            meta["successors"] = build_topology(machine).successors()
+        meta.update(walk_meta(machine))
         trace_sink.meta = meta
         auditor = auditor_for(meta) if audit else None
         consume = _Consumer(trace_sink, auditor)

@@ -225,8 +225,12 @@ class JsonlStreamSink(TraceSink):
             if self._lines:
                 spool.write("\n".join(self._lines) + "\n")
                 self._lines.clear()
-            spool.seek(0)
-            shutil.copyfileobj(spool, handle, _COPY_CHUNK)
+            # Both files hold UTF-8 text, so the spool is copied as
+            # bytes, with nothing decoded and encoded again.
+            spool.flush()
+            handle.flush()
+            spool.buffer.seek(0)
+            shutil.copyfileobj(spool.buffer, handle.buffer, _COPY_CHUNK)
         finally:
             spool.close()
             handle.close()

@@ -9,8 +9,8 @@ from repro.ring.topology import (
     HierRingTopology,
     RingTopology,
     SnoopTopology,
-    TopologyTablesUnavailable,
     TorusTopology,
+    WalkRow,
     build_topology,
     ring_successors,
 )
@@ -22,8 +22,8 @@ __all__ = [
     "HierRingTopology",
     "RingTopology",
     "SnoopTopology",
-    "TopologyTablesUnavailable",
     "TorusTopology",
+    "WalkRow",
     "build_topology",
     "ring_successors",
 ]

@@ -19,20 +19,19 @@ ring-order arithmetic lives in this package only (enforced by a lint
 test).
 
 The performance contract: the simulation cores never call
-:meth:`SnoopTopology.route` per hop.  They hoist the topology into
-flat tables once per run via :meth:`SnoopTopology.export_tables` -
-a successor array plus per-segment latency arrays - and index those in
-the hot loop.  A topology that cannot express itself as one static
-Hamiltonian cycle with fixed per-segment latencies raises
-:class:`TopologyTablesUnavailable` from ``export_tables``; the soa
-core surfaces that through its ``SoaUnsupportedError``
-envelope, and the run falls back to the object core (see
-:func:`repro.sim.cores.build_core`).
+:meth:`SnoopTopology.route` per hop.  :meth:`SnoopTopology.export_tables`
+unrolls the topology once per run into one :class:`WalkRow` per
+requester, and both cores (and the trace auditor) index those rows in
+the hot loop.  A static successor cycle is the case where every row
+names the same successors; a path-dependent ``route`` gives each
+requester its own.  ``route`` must be a pure function of its
+arguments: routing that reads live machine state (adaptive or
+deflection routing) cannot be unrolled, and is outside the seam.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 from repro.config import DataNetworkConfig, RingConfig, TopologyConfig
 
@@ -47,14 +46,22 @@ def ring_successors(num_nodes: int) -> List[int]:
     return [(node + 1) % num_nodes for node in range(num_nodes)]
 
 
-class TopologyTablesUnavailable(NotImplementedError):
-    """The topology cannot export static successor/latency tables.
+class WalkRow(NamedTuple):
+    """One requester's snoop walk, indexed by node.
 
-    Raised by :meth:`SnoopTopology.export_tables` for topologies whose
-    routing is path-dependent.  The fused soa core requires the
-    tables; it translates this into its ``SoaUnsupportedError``
-    envelope so the run falls back to the object core.
+    ``successor[n]`` is the node the request visits after ``n`` (the
+    requester's own entry names the first stop, and the last stop's
+    entry names the requester); ``predecessor[n]`` is the node before
+    ``n``; ``entry_latency[n]`` is the cycles of the segment into
+    ``n``, the :meth:`~SnoopTopology.segment_latency` of its
+    predecessor; ``ring_age[n]`` is the segments the request has
+    crossed on reaching ``n`` (``num_nodes`` back home).
     """
+
+    successor: List[int]
+    predecessor: List[int]
+    entry_latency: List[int]
+    ring_age: List[int]
 
 
 class SnoopTopology:
@@ -64,9 +71,10 @@ class SnoopTopology:
 
     * **Walk order** - :meth:`route` is the definitional seam: given
       the requester and the path walked so far, it names the next node
-      the snoop request visits.  :meth:`next_node`, :meth:`walk_order`
-      and :meth:`ring_distance` all derive from it for topologies that
-      are a static successor cycle.
+      the snoop request visits.  It must be a pure function of those
+      two arguments, so :meth:`walk_order` can unroll it into one
+      fixed visiting order per requester.  The default follows the
+      static successor cycle :meth:`next_node` names.
     * **Segment timing** - :meth:`segment_latency` gives the cycles a
       message spends on the segment *leaving* a node.  The flat ring
       is uniform; ``hier_ring`` charges extra on segments that cross
@@ -74,8 +82,10 @@ class SnoopTopology:
     * **Data network** - :meth:`transfer_latency` gives the latency of
       a data (non-snoop) transfer between two CMPs.
 
-    Subclasses must implement :meth:`next_node`, :meth:`segment_latency`
-    and :meth:`transfer_latency`; everything else has a derived default.
+    Subclasses must implement :meth:`segment_latency`,
+    :meth:`transfer_latency`, and either :meth:`next_node` (a static
+    cycle) or :meth:`route` (a path-dependent walk); everything else
+    has a derived default.
     """
 
     #: Registry kind name of this topology (stamped into trace meta).
@@ -96,21 +106,14 @@ class SnoopTopology:
         """Downstream neighbour of ``node`` on the snoop walk."""
         raise NotImplementedError
 
-    def prev_node(self, node: int) -> int:
-        """Upstream neighbour: the node whose successor is ``node``."""
-        self._check(node)
-        for candidate in range(self.num_nodes):
-            if self.next_node(candidate) == node:
-                return candidate
-        raise ValueError("node %d has no predecessor" % node)
-
     def route(self, requester: int, path_so_far: Sequence[int]) -> int:
         """Next node a snoop request visits.
 
         ``path_so_far`` is the sequence of nodes already visited (not
         including the requester).  The default follows the static
-        successor cycle; adaptive topologies may override this with
-        path-dependent routing (and then cannot export tables).
+        successor cycle; a topology may override this with
+        path-dependent routing, as long as the answer depends on the
+        arguments alone.
         """
         self._check(requester)
         tail = path_so_far[-1] if path_so_far else requester
@@ -173,63 +176,54 @@ class SnoopTopology:
 
     def segment_latency(self, node: int) -> int:
         """Cycles a snoop message spends on the segment leaving
-        ``node`` (toward ``next_node(node)``)."""
+        ``node``, whichever node it leads to."""
         raise NotImplementedError
 
-    def successors(self) -> List[int]:
-        """Successor table: ``successors()[i] == route(i, ())``."""
-        return [self.route(node, ()) for node in range(self.num_nodes)]
+    def export_tables(self) -> List[WalkRow]:
+        """One :class:`WalkRow` per requester, indexed by requester:
+        the tables both cores walk and the trace auditor checks hops
+        against, built once per run from :meth:`walk_order` and
+        :meth:`segment_latency`.
 
-    def segment_latencies(self) -> List[int]:
-        """Outbound per-segment latency table, indexed by source node."""
-        return [self.segment_latency(node) for node in range(self.num_nodes)]
-
-    def entry_latencies(self) -> List[int]:
-        """Inbound latency table: ``entry_latencies()[n]`` is the cost
-        of the segment a message crosses to *enter* node ``n`` (the
-        outbound latency of ``n``'s predecessor)."""
-        entry = [0] * self.num_nodes
-        successors = self.successors()
-        latencies = self.segment_latencies()
-        for node in range(self.num_nodes):
-            entry[successors[node]] = latencies[node]
-        return entry
-
-    def export_tables(self) -> Tuple[List[int], List[int], List[int]]:
-        """``(successors, segment_latencies, entry_latencies)`` for the
-        fused cores' hot loops.
-
-        Validates that the successor table is one Hamiltonian cycle
-        covering every node - the structural invariant the walker and
-        the per-segment audit rules rely on.  Raises
-        :class:`TopologyTablesUnavailable` when the topology cannot be
-        expressed as static tables.
+        Raises ``ValueError`` unless every requester's walk visits
+        every other node exactly once and then returns home - the
+        structural invariant the walk and the per-segment audit rules
+        rely on.
         """
-        try:
-            successors = self.successors()
-            out_latencies = self.segment_latencies()
-        except NotImplementedError as error:
-            raise TopologyTablesUnavailable(
-                "topology %r does not export static ring tables" % self.kind
-            ) from error
-        node, seen = 0, 0
-        while seen < self.num_nodes:
-            node = successors[node]
-            seen += 1
-            if node == 0 and seen < self.num_nodes:
+        n = self.num_nodes
+        latency = [self.segment_latency(node) for node in range(n)]
+        rows: List[WalkRow] = []
+        for requester in range(n):
+            order = self.walk_order(requester)
+            if sorted(order) != [
+                node for node in range(n) if node != requester
+            ]:
                 raise ValueError(
-                    "topology %r successors do not form one Hamiltonian "
-                    "cycle over %d nodes" % (self.kind, self.num_nodes)
+                    "topology %r walk from node %d does not visit every "
+                    "other node of %d exactly once: %r"
+                    % (self.kind, requester, n, order)
                 )
-        if node != 0:
-            raise ValueError(
-                "topology %r successor walk does not return home"
-                % self.kind
+            if self.route(requester, order) != requester:
+                raise ValueError(
+                    "topology %r walk from node %d does not return home"
+                    % (self.kind, requester)
+                )
+            successor = [0] * n
+            predecessor = [0] * n
+            entry_latency = [0] * n
+            ring_age = [0] * n
+            stops = [requester] + order
+            for age, (upstream, node) in enumerate(
+                zip(stops, order + [requester]), start=1
+            ):
+                successor[upstream] = node
+                predecessor[node] = upstream
+                entry_latency[node] = latency[upstream]
+                ring_age[node] = age
+            rows.append(
+                WalkRow(successor, predecessor, entry_latency, ring_age)
             )
-        entry = [0] * self.num_nodes
-        for src in range(self.num_nodes):
-            entry[successors[src]] = out_latencies[src]
-        return successors, out_latencies, entry
+        return rows
 
     # ------------------------------------------------------------------
     # Data network
@@ -277,10 +271,6 @@ class RingTopology(SnoopTopology):
         """Downstream neighbour of ``node`` on the ring."""
         self._check(node)
         return self._succ[node]
-
-    def prev_node(self, node: int) -> int:
-        self._check(node)
-        return self._succ.index(node)
 
     def ring_distance(self, src: int, dst: int) -> int:
         """Number of ring segments from ``src`` to ``dst`` going
@@ -394,10 +384,6 @@ class HierRingTopology(SnoopTopology):
     def next_node(self, node: int) -> int:
         self._check(node)
         return self._succ[node]
-
-    def prev_node(self, node: int) -> int:
-        self._check(node)
-        return self._succ.index(node)
 
     def ring_distance(self, src: int, dst: int) -> int:
         self._check(src)

@@ -10,16 +10,15 @@ Two implementations are registered:
 * ``soa`` - the default :class:`~repro.sim.soa.SoaRingMultiprocessor`:
   the struct-of-arrays fused hot loop.  Bit-identical ``summary()``
   output and a byte-identical trace for the supported configuration
-  envelope - link and snoop-port contention, trace sinks and the
-  per-retire invariant checks included (the golden and property
-  suites enforce this) - and raises
+  envelope - every topology, link and snoop-port contention, trace
+  sinks and the per-retire invariant checks included (the golden and
+  property suites enforce this) - and raises
   :class:`~repro.sim.soa.SoaUnsupportedError` at construction outside
   it.
 * ``object`` - :class:`~repro.sim.system.RingMultiprocessor`: one
   Python object per subsystem (engine, walker, datapath, transaction
   manager); runs every configuration, including the metrics timeline,
-  the write filter, version tracking and topologies without static
-  tables.
+  the write filter and version tracking.
 
 :func:`build_core` builds every run's machine.  Request a core through
 :class:`~repro.harness.parallel.RunSpec`'s ``core`` field,
@@ -51,9 +50,8 @@ REGISTRY.register(
     RingMultiprocessor,
     metadata={
         "description": "per-subsystem object model (runs everything, "
-        "including the metrics timeline, write filter, version "
-        "tracking and dynamic topologies; the fallback when soa "
-        "refuses)",
+        "including the metrics timeline, write filter and version "
+        "tracking; the fallback when soa refuses)",
     },
 )
 
@@ -64,7 +62,8 @@ REGISTRY.register(
     aliases=("vectorized", "fused"),
     metadata={
         "description": "struct-of-arrays fused event loop (default; "
-        "link contention, tracing and invariant checks included); "
+        "every topology, link contention, tracing and invariant "
+        "checks included); "
         "bit-identical summaries and traces within its supported "
         "envelope",
     },

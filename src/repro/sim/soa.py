@@ -65,11 +65,16 @@ local bool when tracing is off.  ``check_invariants`` runs the same
 per-retire line check as the object core and raises the same
 :class:`~repro.coherence.protocol.CoherenceError` messages.
 
-The write filter (presence predictors), version tracking, the metrics
-timeline (``tracing.sample_window``) and topologies that cannot export
-static tables are outside it: :func:`check_soa_supported` raises
-:class:`SoaUnsupportedError` with the concrete reason, before anything
-is built, and the run falls back to the object core.
+Every topology is inside it: the walk reads the per-requester rows of
+:meth:`~repro.ring.topology.SnoopTopology.export_tables`, the same
+rows ``RingWalker`` reads, so a path-dependent ``route`` runs here as
+a static cycle does.
+
+The write filter (presence predictors), version tracking and the
+metrics timeline (``tracing.sample_window``) are outside it:
+:func:`check_soa_supported` raises :class:`SoaUnsupportedError` with
+the concrete reason, before anything is built, and the run falls back
+to the object core.
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ from repro.obs.trace import (
     TraceSink,
     resolve_sink,
 )
-from repro.ring.topology import TopologyTablesUnavailable, build_topology
+from repro.ring.topology import build_topology
 from repro.sim.prewarm import SetImage, prewarm_image
 from repro.sim.system import SimulationResult
 from repro.workloads.source import as_source
@@ -120,11 +125,10 @@ def check_soa_supported(config: MachineConfig) -> None:
 
     The excluded features thread per-event mutable state through the
     object core's subsystem seams (presence filters, version checks,
-    timeline probes) or route each hop dynamically (a topology without
-    static tables); supporting them here would reintroduce exactly the
-    indirection this core removes.  Link and snoop-port contention,
-    trace emission and the per-retire invariant checks are inside the
-    envelope.
+    timeline probes); supporting them here would reintroduce exactly
+    the indirection this core removes.  Every topology, link and
+    snoop-port contention, trace emission and the per-retire invariant
+    checks are inside the envelope.
     """
     reasons = []
     if config.filter_write_snoops:
@@ -133,13 +137,6 @@ def check_soa_supported(config: MachineConfig) -> None:
         reasons.append("track_versions (version violation tracking)")
     if config.tracing.sample_window > 0:
         reasons.append("tracing.sample_window (metrics timeline)")
-    try:
-        build_topology(config).export_tables()
-    except TopologyTablesUnavailable:
-        reasons.append(
-            "topology %r (path-dependent routing, no static tables)"
-            % config.topology.kind
-        )
     if reasons:
         raise SoaUnsupportedError(
             "core=soa does not support: %s" % "; ".join(reasons)
@@ -434,12 +431,16 @@ class SoaRingMultiprocessor:
         cost_dop = config.energy.downgrade_cache_access
         cost_dmem = config.energy.memory_line_access
 
-        # Topology tables hoisted for the fused loop: successor of each
-        # node, outbound per-segment latency, inbound (entry) latency,
-        # and the full data-network latency matrix (the constructor's
-        # envelope check made sure the topology exports them).
+        # The topology's walk rows, indexed [requester][node] as in
+        # RingWalker: successor, predecessor, entry latency and ring
+        # age of every node on each requester's walk; plus the full
+        # data-network latency matrix.
         topology = build_topology(config)
-        succ, out_lat, in_lat = topology.export_tables()
+        rows = topology.export_tables()
+        succ = [row.successor for row in rows]
+        pred = [row.predecessor for row in rows]
+        in_lat = [row.entry_latency for row in rows]
+        ring_age = [row.ring_age for row in rows]
         torus_lat = [
             [
                 topology.transfer_latency(src, dst)
@@ -489,9 +490,6 @@ class SoaRingMultiprocessor:
             ]
             link_free = [0] * (shared_base + len(shared_ids))
         port_free = [0] * num_cmps
-        pred = [0] * num_cmps
-        for node, downstream in enumerate(succ):
-            pred[downstream] = node
         #: Walker occupancy counters: charged at reservation time and,
         #: like RingWalker's, never reset at warmup end.
         link_busy_cycles = port_wait_cycles = 0
@@ -526,20 +524,6 @@ class SoaRingMultiprocessor:
         #: matching the object core's counters)
         choice_count = 0
         choose = algorithm.choose
-        # Ring age of a message at each node = successor-cycle distance
-        # from its requester (only the dynamic decision path reads it).
-        if not static_choice:
-            ring_dist = [[0] * num_cmps for _ in range(num_cmps)]
-            for _src in range(num_cmps):
-                _node, _d = _src, 0
-                while True:
-                    _node = succ[_node]
-                    _d += 1
-                    ring_dist[_src][_node] = _d
-                    if _node == _src:
-                        break
-        else:
-            ring_dist = []
         predictors = self._predictors
         is_perfect = isinstance(predictors[0], PerfectPredictor)
         kind = config.predictor.kind
@@ -972,7 +956,9 @@ class SoaRingMultiprocessor:
                     # _walk_returned: the final reply crossing
                     # (books no link, as in RingWalker).
                     if txn[_T_SPLIT]:
-                        info_time = txn[_T_REPLY] + in_lat[requester]
+                        info_time = (
+                            txn[_T_REPLY] + in_lat[requester][requester]
+                        )
                         e_ring += cost_ring
                         if is_write:
                             write_ring_crossings += 1
@@ -992,13 +978,13 @@ class SoaRingMultiprocessor:
                     if link_contention:
                         txn[_T_REPLY] = (
                             cross_link(
-                                txn[_T_LINKS][pred[node_id]],
+                                txn[_T_LINKS][pred[requester][node_id]],
                                 txn[_T_REPLY],
                             )
-                            + in_lat[node_id]
+                            + in_lat[requester][node_id]
                         )
                     else:
-                        txn[_T_REPLY] += in_lat[node_id]
+                        txn[_T_REPLY] += in_lat[requester][node_id]
                     e_ring += cost_ring
                     if is_write:
                         write_ring_crossings += 1
@@ -1183,9 +1169,7 @@ class SoaRingMultiprocessor:
                                     prediction,
                                     retries=txn[_T_RETRY],
                                     waiters=len(txn[_T_WAIT]),
-                                    ring_age=ring_dist[txn[_T_REQ]][
-                                        node_id
-                                    ],
+                                    ring_age=ring_age[requester][node_id],
                                 )
                             )
                         ]
@@ -1354,8 +1338,8 @@ class SoaRingMultiprocessor:
                 read_ring_crossings += 1
             if link_contention:
                 departure = cross_link(txn[_T_LINKS][node_id], departure)
-            arrival = departure + out_lat[node_id]
-            to_node = succ[node_id]
+            to_node = succ[requester][node_id]
+            arrival = departure + in_lat[requester][to_node]
             if tracing:
                 emit(
                     TraceEvent(

@@ -262,7 +262,6 @@ class RingMultiprocessor:
         self.txns = TransactionManager(
             self.engine,
             config,
-            self.topology,
             self.stats,
             self.nodes,
             self.cores,

@@ -46,7 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.config import MachineConfig
     from repro.metrics.stats import RunStats
     from repro.ring.node import CMPNode
-    from repro.ring.topology import SnoopTopology
     from repro.sim.datapath import DataPathModel
     from repro.sim.engine import EventEngine
     from repro.sim.system import RingMultiprocessor
@@ -82,7 +81,6 @@ class Transaction:
         "retry_count",
         "retired",
         "next_node",
-        "path",
         "step_cb",
     )
 
@@ -119,13 +117,9 @@ class Transaction:
         #: walker builds at each read hop)
         self.retry_count = 0
         self.retired = False
-        #: node the next scheduled walk event processes (primed with
-        #: the topology's first route stop at issue, then maintained by
-        #: the walk loop right before scheduling ``step_cb``)
+        #: node the next scheduled walk event processes (set by the
+        #: walk right before it schedules ``step_cb``)
         self.next_node = -1
-        #: nodes visited so far, tracked only for topologies with
-        #: path-dependent routing (None on the table-exporting builtins)
-        self.path: Optional[List[int]] = None
         self.step_cb: Callable[[], None] = _noop
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -148,7 +142,6 @@ class TransactionManager:
         self,
         engine: "EventEngine",
         config: "MachineConfig",
-        topology: "SnoopTopology",
         stats: "RunStats",
         nodes: List["CMPNode"],
         cores: List[Core],
@@ -156,7 +149,6 @@ class TransactionManager:
     ) -> None:
         self.engine = engine
         self.config = config
-        self.topology = topology
         self.stats = stats
         self.nodes = nodes
         self.cores = cores
@@ -409,10 +401,6 @@ class TransactionManager:
             # memory.  The version is allocated at commit time so that
             # write serialization order matches commit order.
             txn.needs_data = not self.nodes[core.cmp_id].holders(address)
-        # Prime the walk with the topology's first route stop (the
-        # walk loop re-derives it per hop; this replaces the old -1
-        # sentinel with the node the request actually heads for).
-        txn.next_node = self.topology.route(core.cmp_id, ())
         txn.step_cb = self._walker.make_step_handler(txn)
         self._active.setdefault(address, []).append(txn)
 

@@ -73,7 +73,6 @@ class RingWalker:
     ) -> None:
         self.engine = engine
         self.config = config
-        self.topology = topology
         self.memory = memory
         self.stats = stats
         self.energy = energy
@@ -103,31 +102,13 @@ class RingWalker:
         self._prefetch_on_snoop = config.memory.prefetch_on_snoop
         self._home_of = memory.home_of
         self._ring_of = topology.ring_of
-        # Topology tables hoisted for the per-hop hot path: successor,
-        # outbound per-segment latency, inbound (entry) latency, and
-        # predecessor of every node.  A topology whose routing is
-        # path-dependent cannot export them; the walk then falls back
-        # to calling ``route``/``segment_latency`` per hop with the
-        # path tracked on the transaction (only this object core
-        # supports that - the fused cores require the tables).
-        from repro.ring.topology import TopologyTablesUnavailable
-
-        try:
-            succ, out_lat, in_lat = topology.export_tables()
-        except TopologyTablesUnavailable:
-            self._dynamic_route = True
-            self._succ: List[int] = []
-            self._out_lat: List[int] = []
-            self._in_lat: List[int] = []
-            self._pred: List[int] = []
-        else:
-            self._dynamic_route = False
-            self._succ = succ
-            self._out_lat = out_lat
-            self._in_lat = in_lat
-            self._pred = [0] * len(succ)
-            for node, downstream in enumerate(succ):
-                self._pred[downstream] = node
+        # The topology's walk rows, hoisted for the per-hop hot path
+        # and indexed [requester][node]: successor, predecessor and
+        # entry latency of every node on each requester's walk.
+        rows = topology.export_tables()
+        self._succ = [row.successor for row in rows]
+        self._pred = [row.predecessor for row in rows]
+        self._in_lat = [row.entry_latency for row in rows]
         # Optional contention modeling: next-free times of each
         # physical link and of each CMP's snoop port.  The topology
         # describes the physical links behind each outbound segment as
@@ -138,23 +119,16 @@ class RingWalker:
         # by every embedded ring and keyed ``(-1, link id)``.
         self._link_free: Dict[Tuple[int, int], int] = {}
         self._snoop_port_free: List[int] = [0] * config.num_cmps
-        if self._dynamic_route:
-            # Path-dependent routing: descriptors are fetched per hop.
-            self._ring_links: Optional[List[Tuple[int, ...]]] = None
-            self._shared_links: Optional[List[Tuple[int, ...]]] = None
-        else:
-            ring_links: List[Tuple[int, ...]] = []
-            shared_links: List[Tuple[int, ...]] = []
-            for node in range(len(self._succ)):
-                links = topology.segment_links(node)
-                ring_links.append(
-                    tuple(lid for scope, lid in links if scope == "ring")
-                )
-                shared_links.append(
-                    tuple(lid for scope, lid in links if scope != "ring")
-                )
-            self._ring_links = ring_links
-            self._shared_links = shared_links
+        self._ring_links: List[Tuple[int, ...]] = []
+        self._shared_links: List[Tuple[int, ...]] = []
+        for node in range(config.num_cmps):
+            links = topology.segment_links(node)
+            self._ring_links.append(
+                tuple(lid for scope, lid in links if scope == "ring")
+            )
+            self._shared_links.append(
+                tuple(lid for scope, lid in links if scope != "ring")
+            )
         per_ring, shared = topology.link_counts()
         #: Physical link count across the whole machine (per-ring
         #: links exist once per embedded ring); the denominator of the
@@ -226,20 +200,8 @@ class RingWalker:
         occupancy = self.config.ring.link_occupancy
         if not occupancy:
             return departure
-        if (
-            self._ring_links is not None
-            and self._shared_links is not None
-        ):
-            ring_links = self._ring_links[from_node]
-            shared_links = self._shared_links[from_node]
-        else:
-            links = self.topology.segment_links(from_node)
-            ring_links = tuple(
-                lid for scope, lid in links if scope == "ring"
-            )
-            shared_links = tuple(
-                lid for scope, lid in links if scope != "ring"
-            )
+        ring_links = self._ring_links[from_node]
+        shared_links = self._shared_links[from_node]
         ring = self._ring_of(txn.address)
         link_free = self._link_free
         actual = departure
@@ -302,17 +264,9 @@ class RingWalker:
         msg.hops_request += 1
         self._charge_crossing(txn)
         departure = self._cross_link(txn, from_node, departure)
-        if self._dynamic_route:
-            path = txn.path
-            if path is None:
-                path = txn.path = []
-            arrival = departure + self.topology.segment_latency(from_node)
-            to_node = self.topology.route(txn.requester_cmp, path)
-            if to_node != txn.requester_cmp:
-                path.append(to_node)
-        else:
-            arrival = departure + self._out_lat[from_node]
-            to_node = self._succ[from_node]
+        requester = txn.requester_cmp
+        to_node = self._succ[requester][from_node]
+        arrival = departure + self._in_lat[requester][to_node]
         trace = self._trace
         if trace is not None:
             trace.emit(
@@ -356,17 +310,11 @@ class RingWalker:
         assert msg is not None
         if msg.mode is MessageMode.SPLIT:
             assert msg.reply_time is not None
-            if self._dynamic_route:
-                path = txn.path or []
-                upstream = (
-                    path[-2] if len(path) >= 2 else txn.requester_cmp
-                )
-                hop = self.topology.segment_latency(upstream)
-            else:
-                upstream = self._pred[node_id]
-                hop = self._in_lat[node_id]
-            departure = self._cross_link(txn, upstream, msg.reply_time)
-            msg.reply_time = departure + hop
+            requester = txn.requester_cmp
+            departure = self._cross_link(
+                txn, self._pred[requester][node_id], msg.reply_time
+            )
+            msg.reply_time = departure + self._in_lat[requester][node_id]
             msg.hops_reply += 1
             self._charge_crossing(txn)
 
@@ -621,13 +569,8 @@ class RingWalker:
         assert msg is not None
         if msg.mode is MessageMode.SPLIT:
             assert msg.reply_time is not None
-            if self._dynamic_route:
-                path = txn.path
-                assert path, "split reply with no walked path"
-                hop = self.topology.segment_latency(path[-1])
-            else:
-                hop = self._in_lat[txn.requester_cmp]
-            info_time = msg.reply_time + hop
+            requester = txn.requester_cmp
+            info_time = msg.reply_time + self._in_lat[requester][requester]
             msg.hops_reply += 1
             self._charge_crossing(txn)
         else:

@@ -28,8 +28,8 @@ from repro.config import TraceConfig, default_machine
 from repro.core.algorithms import build_algorithm
 from repro.obs.audit import auditor_for
 from repro.obs.jsonl import encode_event
+from repro.obs.runner import walk_meta
 from repro.obs.trace import InMemorySink
-from repro.ring.topology import build_topology
 from repro.sim.soa import SoaRingMultiprocessor
 from repro.sim.system import RingMultiprocessor
 from repro.workloads.source import SyntheticSource
@@ -135,9 +135,8 @@ def test_soa_matches_object_under_contention(scenario):
     meta = {
         "algorithm": build_algorithm(algorithm).name,
         "num_cmps": machine.num_cmps,
+        **walk_meta(machine),
     }
-    if machine.topology.kind != "ring":
-        meta["successors"] = build_topology(machine).successors()
     auditor = auditor_for(meta)
     for event in events[SoaRingMultiprocessor]:
         auditor.feed(event)

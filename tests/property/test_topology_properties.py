@@ -7,15 +7,27 @@ rely on them:
 * the snoop walk from any requester visits every *other* node exactly
   once and the successor cycle returns home (Hamiltonian cycle);
 * ``ring_distance`` agrees with counting ``next_node`` steps;
-* the exported tables are consistent with the per-node interface.
+* the exported walk rows are consistent with the per-node interface.
 
 Plus hier_ring-specific ones: bridge paths on the data network are
 cycle-free (finite shortest-path hop counts with symmetric distances)
 and segment timing charges the global hop exactly once per block.
+
+And generated path-dependent topologies: a test-local ``route`` gives
+each requester its own drawn visiting order.  Its rows validate, both
+cores run it to equal summaries, event counts and byte-identical
+traces, and the trace audits clean against the rows; a ``route`` that
+revisits a node fails at export.  Tier-1 runs a short profile; set
+``FLEXSNOOP_PROPERTY_EXAMPLES`` (e.g. to 200) for a long run.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+from typing import List, Sequence
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,12 +35,30 @@ from repro.config import (
     DataNetworkConfig,
     RingConfig,
     TopologyConfig,
+    TraceConfig,
+    default_machine,
 )
+from repro.core.algorithms import build_algorithm
+from repro.obs.audit import auditor_for
+from repro.obs.jsonl import encode_event
+from repro.obs.runner import walk_meta
+from repro.obs.trace import InMemorySink
+from repro.registry import REGISTRY
 from repro.ring.topology import (
     HierRingTopology,
     RingTopology,
+    SnoopTopology,
     ring_successors,
 )
+from repro.sim.soa import SoaRingMultiprocessor
+from repro.sim.system import RingMultiprocessor
+from repro.workloads.source import SyntheticSource
+from repro.workloads.synthetic import SharingProfile
+from tests.property.test_contention_properties import ALGORITHMS
+
+#: Generated simulations per run: a fast tier-1 default, raised for
+#: long runs.
+EXAMPLES = int(os.environ.get("FLEXSNOOP_PROPERTY_EXAMPLES", "8"))
 
 ring_sizes = st.integers(min_value=2, max_value=33)
 hier_shapes = st.tuples(
@@ -130,20 +160,42 @@ def test_hier_distance_counts_next_node_steps(shape, data):
 # Exported tables agree with the per-node interface
 
 
+def assert_rows_walk(topology: SnoopTopology, rows) -> None:
+    """Each row walks its requester's order: every other node once,
+    then home, with predecessors, entry latencies and ring ages that
+    agree with the successors."""
+    n = topology.num_nodes
+    assert len(rows) == n
+    for requester, row in enumerate(rows):
+        walk, node = [], requester
+        for _ in range(n):
+            node = row.successor[node]
+            walk.append(node)
+        assert walk[:-1] == topology.walk_order(requester)
+        assert walk[-1] == requester
+        for age, node in enumerate(walk, start=1):
+            upstream = row.predecessor[node]
+            assert row.successor[upstream] == node
+            # The latency entering a node is the latency leaving its
+            # predecessor - the relation the reply path relies on.
+            assert row.entry_latency[node] == topology.segment_latency(
+                upstream
+            )
+            assert row.ring_age[node] == age
+        assert all(latency > 0 for latency in row.entry_latency)
+
+
 @settings(max_examples=40)
 @given(st.one_of(ring_sizes.map(_ring),
                  hier_shapes.map(lambda s: _hier(*s))))
 def test_export_tables_consistent(topology):
-    successors, out_lat, in_lat = topology.export_tables()
+    rows = topology.export_tables()
     n = topology.num_nodes
-    assert successors == [topology.next_node(i) for i in range(n)]
-    assert successors == ring_successors(n)  # both builtins use id order
-    assert out_lat == [topology.segment_latency(i) for i in range(n)]
-    # The latency entering a node is the latency leaving its
-    # predecessor - the relation the walker's reply path relies on.
-    for node in range(n):
-        assert in_lat[successors[node]] == out_lat[node]
-    assert all(latency > 0 for latency in out_lat)
+    for row in rows:
+        # A static cycle: every requester walks the same successors.
+        assert row.successor == [topology.next_node(i) for i in range(n)]
+        assert row.successor == ring_successors(n)  # builtins: id order
+    assert_rows_walk(topology, rows)
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +209,9 @@ def test_hier_segment_timing_charges_global_once_per_block(
 ):
     local_rings, ring_size = shape
     topology = _hier(local_rings, ring_size, local_hop, global_hop)
-    latencies_out = topology.segment_latencies()
+    latencies_out = [
+        topology.segment_latency(node) for node in range(topology.num_nodes)
+    ]
     crossing = [lat for lat in latencies_out if lat != local_hop]
     # Exactly one crossing segment per local ring, each charged the
     # local hand-off plus one global hop.
@@ -203,3 +257,139 @@ def test_hier_bridges_one_per_local_ring(shape):
     for node in range(topology.num_nodes):
         assert topology.is_bridge(node) == (node in bridges)
         assert topology.bridge_of(node) in bridges
+
+
+# ----------------------------------------------------------------------
+# Generated path-dependent topologies on both cores
+
+
+class _DrawnTopology(SnoopTopology):
+    """Each requester visits the other nodes in its own drawn order.
+
+    ``route`` reads only its arguments (the requester and how far the
+    walk has got), as the topology seam requires.
+    """
+
+    kind = "drawn"
+
+    def __init__(
+        self, orders: Sequence[Sequence[int]], latencies: Sequence[int]
+    ) -> None:
+        super().__init__(len(orders), num_rings=2)
+        self._orders = orders
+        self._latencies = latencies
+
+    def route(self, requester: int, path_so_far: Sequence[int]) -> int:
+        order = self._orders[requester]
+        if len(path_so_far) < len(order):
+            return order[len(path_so_far)]
+        return requester
+
+    def segment_latency(self, node: int) -> int:
+        return self._latencies[node]
+
+    def transfer_latency(self, src: int, dst: int) -> int:
+        return 40 + 20 * abs(src - dst)
+
+
+@st.composite
+def drawn_topologies(draw, min_cmps: int = 2) -> _DrawnTopology:
+    num_cmps = draw(st.integers(min_cmps, 8))
+    orders: List[List[int]] = [
+        draw(st.permutations([n for n in range(num_cmps) if n != r]))
+        for r in range(num_cmps)
+    ]
+    latencies = draw(
+        st.lists(st.integers(1, 60), min_size=num_cmps, max_size=num_cmps)
+    )
+    return _DrawnTopology(orders, latencies)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(
+    topology=drawn_topologies(),
+    algorithm=st.sampled_from(ALGORITHMS),
+    contention=st.sampled_from([(0, False), (300, True), (600, False)]),
+    cores_per_cmp=st.integers(1, 2),
+    warmup=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**16),
+)
+def test_drawn_walks_run_alike_on_both_cores(
+    topology, algorithm, contention, cores_per_cmp, warmup, seed
+):
+    assert_rows_walk(topology, topology.export_tables())
+    num_cmps = topology.num_nodes
+    occupancy, serialize = contention
+    machine = default_machine(
+        algorithm=algorithm, num_cmps=num_cmps, cores_per_cmp=cores_per_cmp
+    )
+    machine = machine.replace(
+        ring=dataclasses.replace(
+            machine.ring,
+            link_occupancy=occupancy,
+            serialize_snoop_port=serialize,
+        ),
+        topology=dataclasses.replace(machine.topology, kind="drawn"),
+        tracing=TraceConfig(enabled=True),
+        check_invariants=True,
+    )
+    source = SyntheticSource(
+        SharingProfile(
+            name="drawn",
+            num_cores=num_cmps * cores_per_cmp,
+            cores_per_cmp=cores_per_cmp,
+            accesses_per_core=30,
+            p_shared=0.5,
+            shared_lines=32,
+            private_lines=32,
+            write_fraction_shared=0.3,
+            prewarm_fraction=0.3,
+            think_mean=12.0,
+            seed=seed,
+        )
+    )
+    REGISTRY.register("topology", "drawn", lambda config: topology)
+    try:
+        runs = {}
+        for core in (RingMultiprocessor, SoaRingMultiprocessor):
+            sink = InMemorySink()
+            result = core(
+                machine,
+                build_algorithm(algorithm),
+                source,
+                warmup_fraction=warmup,
+                trace_sink=sink,
+            ).run()
+            runs[core] = result, sink.events
+        meta = {
+            "algorithm": build_algorithm(algorithm).name,
+            "num_cmps": num_cmps,
+            **walk_meta(machine),
+        }
+    finally:
+        REGISTRY.unregister("topology", "drawn")
+    expected, object_events = runs[RingMultiprocessor]
+    actual, events = runs[SoaRingMultiprocessor]
+    assert actual.summary() == expected.summary()
+    assert actual.events == expected.events
+    lines = [encode_event(event) for event in events]
+    assert lines == [encode_event(event) for event in object_events]
+    violations = auditor_for(meta).audit(events)
+    assert violations == [], "\n".join(str(v) for v in violations[:5])
+
+
+@settings(max_examples=40, deadline=None)
+@given(topology=drawn_topologies(min_cmps=3), data=st.data())
+def test_a_revisiting_route_fails_at_export(topology, data):
+    num_cmps = topology.num_nodes
+    requester = data.draw(st.integers(0, num_cmps - 1))
+    order = list(topology._orders[requester])
+    position = data.draw(st.integers(1, len(order) - 1))
+    # Revisit an earlier stop, or the requester itself.
+    order[position] = data.draw(
+        st.sampled_from(order[:position] + [requester])
+    )
+    orders = list(topology._orders)
+    orders[requester] = order
+    with pytest.raises(ValueError, match="exactly once"):
+        _DrawnTopology(orders, topology._latencies).export_tables()

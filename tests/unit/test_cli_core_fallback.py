@@ -6,8 +6,9 @@ refuses the configuration.  soa refuses before it builds anything, so
 each run is built and run exactly once, on one core; the result's
 ``core`` names it, and the first refusal of each reason in a process
 prints one ``falling back to core=object`` line on stderr - never on
-stdout.  ``filter_write_snoops`` (the presence filter), the metrics
-timeline and a path-dependent topology are outside soa's envelope.
+stdout.  ``filter_write_snoops`` (the presence filter) and the
+metrics timeline are outside soa's envelope; a path-dependent topology
+is inside it.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def test_run_traced_timeline_falls_back_by_the_same_rule(built, capsys):
     assert untimed.summary() == traced.summary()
 
 
-def test_cli_run_falls_back_on_a_path_dependent_topology(capsys):
+def test_cli_run_runs_a_path_dependent_topology_on_soa(built, capsys):
     REGISTRY.register(
         "topology",
         "oddfirst",
@@ -139,13 +140,12 @@ def test_cli_run_falls_back_on_a_path_dependent_topology(capsys):
     try:
         argv = ["run", "--topology", "oddfirst", "--scale", "60"]
         assert main(argv) == 0
-        fallback = capsys.readouterr()
+        default = capsys.readouterr()
+        assert built == [("soa", False)]
         assert main(argv + ["--core", "object"]) == 0
         reference = capsys.readouterr()
     finally:
         REGISTRY.unregister("topology", "oddfirst")
-    assert fallback.err.count(NOTICE) == 1
-    assert "topology 'oddfirst'" in fallback.err
-    assert reference.err == ""
-    assert fallback.out == reference.out
-    assert "exec time" in fallback.out
+    assert default.err == reference.err == ""
+    assert default.out == reference.out
+    assert "exec time" in default.out

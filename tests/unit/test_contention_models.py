@@ -149,7 +149,7 @@ def test_serialization_off_has_no_port_state():
 
 def test_flat_ring_segment_links_one_per_node():
     topo = RingTopology(8, RingConfig(), DataNetworkConfig())
-    succ, _, _ = topo.export_tables()
+    succ = topo.export_tables()[0].successor
     assert topo.link_counts() == (8, 0)
     for node in range(8):
         assert topo.segment_links(node) == (("ring", node),)
@@ -161,7 +161,7 @@ def test_hier_segment_links_match_export_tables():
         16, RingConfig(), TopologyConfig(kind="hier_ring"),
         DataNetworkConfig(),
     )
-    succ, _, _ = topo.export_tables()
+    succ = topo.export_tables()[0].successor
     per_ring, shared = topo.link_counts()
     assert (per_ring, shared) == (16, topo.local_rings)
     seen_ring_ids = set()

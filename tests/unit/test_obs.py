@@ -16,7 +16,7 @@ import pytest
 
 from repro.config import TraceConfig, default_machine
 from repro.core.algorithms import build_algorithm
-from repro.obs.audit import TraceAuditor, Violation
+from repro.obs.audit import TraceAuditor, Violation, auditor_for
 from repro.obs.jsonl import (
     TraceReader,
     event_from_json,
@@ -35,9 +35,12 @@ from repro.obs.trace import (
     TraceEvent,
     TraceSink,
 )
+from repro.registry import REGISTRY
+from repro.ring.topology import ring_successors
 from repro.sim.soa import SoaRingMultiprocessor
 from repro.sim.system import RingMultiprocessor
 from repro.workloads.synthetic import SharingProfile
+from tests.unit.test_topology import _DynamicTopology
 
 # ----------------------------------------------------------------------
 # Trace-building helpers
@@ -265,6 +268,86 @@ def relay(monkeypatch):
         monkeypatch.setattr(runner, "build_core", build)
 
     return install
+
+
+@pytest.fixture
+def oddfirst():
+    """The path-dependent test topology, registered as ``oddfirst``."""
+    REGISTRY.register(
+        "topology",
+        "oddfirst",
+        lambda config: _DynamicTopology(config.num_cmps),
+    )
+    yield
+    REGISTRY.unregister("topology", "oddfirst")
+
+
+def test_run_traced_records_a_path_dependent_topology_on_soa(
+    tmp_path, monkeypatch, oddfirst
+):
+    kwargs = dict(
+        accesses_per_core=60,
+        topology="oddfirst",
+        check_invariants=True,
+        audit=True,
+    )
+    path = tmp_path / "oddfirst.jsonl"
+    recorded = run_traced(
+        "lazy", "specjbb", sink=JsonlStreamSink(str(path)), **kwargs
+    )
+    assert recorded.core == "soa"
+    assert recorded.violations == []
+    rows = recorded.meta["successor_rows"]
+    assert "successors" not in recorded.meta
+    assert rows[0][:2] == [1, 3] and rows[3][3] == 1
+
+    # The object core's events under the same header: the same file.
+    monkeypatch.setattr(runner, "DEFAULT_CORE", "object")
+    reference = run_traced("lazy", "specjbb", **kwargs)
+    assert reference.core == "object"
+    written = tmp_path / "object.jsonl"
+    write_trace(str(written), reference.events, reference.meta)
+    assert path.read_bytes() == written.read_bytes()
+
+    # A hop retargeted to its flat-ring successor breaks the row of
+    # the requester that issued it.
+    meta, events = read_trace(str(path))
+    assert auditor_for(meta).audit(events) == []
+    ring = ring_successors(meta["num_cmps"])
+    issuer = {e.txn: e.node for e in events if e.type is EventType.ISSUE}
+    index, hop = next(
+        (i, e)
+        for i, e in enumerate(events)
+        if e.type is EventType.HOP
+        and e.data["to"] != ring[e.node]
+    )
+    assert rows[issuer[hop.txn]][hop.node] == hop.data["to"]
+    events[index] = hop._replace(data={**hop.data, "to": ring[hop.node]})
+    violations = auditor_for(meta).audit(events)
+    assert [(v.txn, v.rule) for v in violations] == [
+        (hop.txn, "conservation")
+    ]
+
+
+def test_auditor_checks_each_hop_against_its_requesters_row():
+    # Node 0 walks 0 -> 2 -> 1 -> 0; nodes 1 and 2 walk the other way.
+    rows = [[2, 0, 1], [1, 2, 0], [1, 2, 0]]
+    auditor = TraceAuditor(num_cmps=3, successor_rows=rows)
+
+    def txn(txn, walk):
+        events = _clean_txn(txn=txn, node=walk[0], num_cmps=3)
+        hops = [e for e in events if e.type is EventType.HOP]
+        for hop, upstream, node in zip(hops, walk, walk[1:]):
+            events[events.index(hop)] = hop._replace(
+                node=upstream, data={**hop.data, "to": node}
+            )
+        return events
+
+    assert auditor.audit(txn(1, [0, 2, 1, 0]) + txn(2, [1, 2, 0, 1])) == []
+    # Node 1's direction, issued by node 0, breaks node 0's row.
+    violations = auditor.audit(txn(3, [0, 1, 2, 0]))
+    assert _rules(violations) == ["conservation"]
+    assert "successor of 0 is 2" in violations[0].message
 
 
 @pytest.fixture
@@ -768,6 +851,16 @@ def test_audit_hop_teleport():
     index = events.index(hops[1])
     events[index] = hops[1]._replace(data={**hops[1].data, "to": 3})
     assert "conservation" in _rules(_audit(events, num_cmps=4))
+
+
+def test_audit_issue_outside_the_ring():
+    events = [
+        e._replace(node=5) if e.node == 0 else e
+        for e in _clean_txn(num_cmps=2)
+    ]
+    violations = _audit(events)
+    assert _rules(violations) == ["conservation"]
+    assert "outside the 2-node ring" in violations[0].message
 
 
 def test_audit_snoop_then_forward_must_recombine():

@@ -177,6 +177,15 @@ def test_valid_sweep_fields_enumerates_config():
         assert expected in fields
     # Sections themselves are not sweepable - only their leaves.
     assert "ring" not in fields
+    # Knobs no model reads are not offered: sweeping them would print
+    # the same result for every value.
+    for inert in (
+        "ring.gateway_latency",
+        "cache.line_size",
+        "processor.default_think_time",
+        "processor.max_outstanding_writes",
+    ):
+        assert inert not in fields
 
 
 def test_custom_mutator():

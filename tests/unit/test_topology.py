@@ -15,8 +15,8 @@ from repro.ring.topology import (
     HierRingTopology,
     RingTopology,
     SnoopTopology,
-    TopologyTablesUnavailable,
     TorusTopology,
+    WalkRow,
     build_topology,
     ring_successors,
 )
@@ -126,10 +126,18 @@ def test_ring_successors_is_the_canonical_cycle():
 
 def test_export_tables_ring():
     topology = ring(4)
-    succ, out_lat, in_lat = topology.export_tables()
-    assert succ == [1, 2, 3, 0]
-    assert out_lat == [RingConfig().hop_latency] * 4
-    assert in_lat == out_lat
+    rows = topology.export_tables()
+    hop = RingConfig().hop_latency
+    assert rows[0] == WalkRow(
+        successor=[1, 2, 3, 0],
+        predecessor=[3, 0, 1, 2],
+        entry_latency=[hop] * 4,
+        ring_age=[4, 1, 2, 3],
+    )
+    # A static cycle: every requester walks the same successors, and
+    # only the ring age (counted from the requester) differs.
+    assert all(row.successor == [1, 2, 3, 0] for row in rows)
+    assert rows[2].ring_age == [2, 3, 4, 1]
 
 
 def test_route_default_follows_successors():
@@ -146,9 +154,12 @@ def test_entry_latency_is_predecessor_outbound():
                        local_hop_latency=10, global_hop_latency=25),
         DataNetworkConfig(torus_shape=(4, 2)),
     )
-    succ, out_lat, in_lat = topology.export_tables()
-    for node in range(8):
-        assert in_lat[succ[node]] == out_lat[node]
+    for row in topology.export_tables():
+        for node in range(8):
+            assert row.entry_latency[row.successor[node]] == (
+                topology.segment_latency(node)
+            )
+            assert row.predecessor[row.successor[node]] == node
 
 
 class _SkipTwoTopology(SnoopTopology):
@@ -169,9 +180,8 @@ class _SkipTwoTopology(SnoopTopology):
 
 
 class _DynamicTopology(SnoopTopology):
-    """No static successor table: routing depends on the path, so the
-    topology declines ``successors()`` (the dynamic-topology contract)
-    and only the object core's per-hop walker can drive it."""
+    """No static successor cycle: routing depends on the path, so each
+    requester's walk unrolls into its own row."""
 
     kind = "dynamic"
 
@@ -190,11 +200,10 @@ class _DynamicTopology(SnoopTopology):
             return remaining[0]
         return requester
 
-    def successors(self):
-        raise NotImplementedError("routing is path-dependent")
-
     def segment_latency(self, node):
-        return 5
+        # Uneven segments, so a walk that charges the wrong segment
+        # shows in the timing.
+        return 5 + 4 * (node % 3)
 
     def transfer_latency(self, src, dst):
         return 40
@@ -205,9 +214,39 @@ def test_export_tables_rejects_non_hamiltonian_cycle():
         _SkipTwoTopology(8).export_tables()
 
 
-def test_export_tables_unavailable_for_dynamic_topologies():
-    with pytest.raises(TopologyTablesUnavailable):
-        _DynamicTopology(8).export_tables()
+def test_export_tables_unrolls_a_path_dependent_walk():
+    topology = _DynamicTopology(8)
+    rows = topology.export_tables()
+    # Odd nodes first, then even ones, skipping the requester.
+    assert topology.walk_order(0) == [1, 3, 5, 7, 2, 4, 6]
+    assert topology.walk_order(3) == [1, 5, 7, 0, 2, 4, 6]
+    row = rows[3]
+    assert row.successor[3] == 1
+    assert row.successor[1] == 5
+    assert row.successor[6] == 3
+    assert row.predecessor[5] == 1
+    assert row.predecessor[1] == 3
+    assert row.ring_age == [4, 1, 5, 8, 6, 2, 7, 3]
+    # The segment into a node is the one leaving its predecessor.
+    assert row.entry_latency[5] == topology.segment_latency(1)
+    assert row.entry_latency[3] == topology.segment_latency(6)
+    # Node 1 forwards to different nodes on different walks.
+    assert rows[0].successor[1] == 3
+    assert rows[3].successor[1] == 5
+
+
+class _StrayTopology(_DynamicTopology):
+    """Visits everyone, then does not head home."""
+
+    def route(self, requester, path_so_far):
+        if len(path_so_far) == self.num_nodes - 1:
+            return path_so_far[0]
+        return super().route(requester, path_so_far)
+
+
+def test_export_tables_rejects_a_walk_that_does_not_return_home():
+    with pytest.raises(ValueError, match="return home"):
+        _StrayTopology(8).export_tables()
 
 
 # ----------------------------------------------------------------------
@@ -314,17 +353,12 @@ def test_build_topology_from_machine_config():
 
 
 # ----------------------------------------------------------------------
-# Dynamic topologies: object-core walker routes per hop; the fused
-# soa core refuses through the SoaUnsupportedError envelope, and a run
-# that requests soa falls back to the object core.
+# Path-dependent topologies: both cores walk the per-requester rows, so
+# soa runs them with no fallback and equals the object core.
 
 
-def test_dynamic_topology_object_core_runs_fused_cores_refuse():
-    from repro.core.algorithms import build_algorithm
+def test_dynamic_topology_runs_on_soa_and_equals_object():
     from repro.harness.experiments import run_experiment
-    from repro.sim.soa import SoaRingMultiprocessor, SoaUnsupportedError
-    from repro.workloads.source import SyntheticSource
-    from repro.workloads.synthetic import SharingProfile
 
     REGISTRY.register(
         "topology",
@@ -332,41 +366,22 @@ def test_dynamic_topology_object_core_runs_fused_cores_refuse():
         lambda config: _DynamicTopology(config.num_cmps),
     )
     try:
-        # The refusal comes from the constructor, before the prewarm
-        # image is built or any event runs.
-        machine = MachineConfig(
-            num_cmps=8,
-            cores_per_cmp=1,
-            topology=TopologyConfig(kind="oddfirst"),
-        )
-        source = SyntheticSource(
-            SharingProfile(
-                name="dynamic", num_cores=8, cores_per_cmp=1,
-                accesses_per_core=10,
+        results = {
+            core: run_experiment(
+                "lazy",
+                "specjbb",
+                accesses_per_core=60,
+                topology="oddfirst",
+                core=core,
             )
-        )
-        with pytest.raises(SoaUnsupportedError, match="oddfirst"):
-            SoaRingMultiprocessor(machine, build_algorithm("lazy"), source)
-        result = run_experiment(
-            "lazy",
-            "specjbb",
-            accesses_per_core=60,
-            topology="oddfirst",
-            core="object",
-        )
-        # The walk completed: every read transaction crossed all 8
-        # nodes of the path-dependent cycle and came home.
-        assert result.core == "object"
-        assert result.exec_time > 0
-        assert result.stats.read_ring_transactions > 0
-        fallback = run_experiment(
-            "lazy",
-            "specjbb",
-            accesses_per_core=60,
-            topology="oddfirst",
-            core="soa",
-        )
-        assert fallback.core == "object"
-        assert fallback.summary() == result.summary()
+            for core in ("object", "soa")
+        }
     finally:
         REGISTRY.unregister("topology", "oddfirst")
+    assert results["soa"].core == "soa"
+    assert results["object"].core == "object"
+    # The walk completed: every read transaction crossed all 8 nodes
+    # of its requester's row and came home.
+    assert results["soa"].stats.read_ring_transactions > 0
+    assert results["soa"].summary() == results["object"].summary()
+    assert results["soa"].events == results["object"].events
