@@ -83,8 +83,10 @@ class SnoopingAlgorithm:
 
     def decision_inputs(self) -> Tuple[str, ...]:
         """Context fields (plus any out-of-context state) the policy
-        reads; the object core's walker builds a full per-decision
-        context only when the urgency fields are among them."""
+        reads.  The object core's walker passes a policy with a table
+        a prediction-only context unless the table reads an urgency
+        field; a table-less policy gets the full context on every
+        core, whatever it names here."""
         table = self.decision_table()
         if table is None:
             return ("prediction", "dynamic")

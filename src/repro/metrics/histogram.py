@@ -10,6 +10,7 @@ reports percentiles, mean, and a compact text rendering.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -53,22 +54,16 @@ class LatencyHistogram:
             raise ValueError("latencies are non-negative")
         self.total += 1
         self.sum += value
-        self.max_value = max(self.max_value, value)
-        self.min_value = (
-            value if self.min_value < 0 else min(self.min_value, value)
-        )
+        if value > self.max_value:
+            self.max_value = value
+        if value < self.min_value or self.min_value < 0:
+            self.min_value = value
         self.counts[self._bucket_of(value)] += 1
 
     def _bucket_of(self, value: int) -> int:
-        # Binary search over edges.
-        lo, hi = 0, len(self.edges)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if value <= self.edges[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        """Index of the first edge at or above ``value`` (the overflow
+        bucket's index past the last edge)."""
+        return bisect_left(self.edges, value)
 
     @property
     def mean(self) -> float:

@@ -16,12 +16,14 @@ crosses several of those layers through bound methods, per-event
 closures and ``OrderedDict`` operations.  This core flattens all of it
 into **one function frame**:
 
-* **Struct-of-arrays state.**  Cache lines are 3-slot lists
-  ``[address, state, version]`` with integer-coded states, stored in
-  plain per-set dicts (insertion order *is* LRU order: a touch is
-  ``del d[a]; d[a] = line``).  Transactions are flat lists indexed by
-  module-level slot constants; there are no message objects, no
-  dataclasses and no closures on the hot path.
+* **Struct-of-arrays state.**  A cache line is one int,
+  ``state | version << 3`` with an integer-coded state, stored under
+  its address in a plain per-set dict (insertion order *is* LRU order:
+  a touch is ``del d[a]; d[a] = v``).  A fill allocates no container,
+  and a set of ints is a dict the cyclic collector never tracks.
+  Transactions are flat lists indexed by module-level slot constants;
+  there are no message objects, no dataclasses and no closures on the
+  hot path.
 * **A fused event loop.**  One ``heapq`` of ``(time, seq, op, a, b)``
   tuples replaces the engine + callback indirection; each ring hop is
   one dispatch, as each is one engine event on the object core.
@@ -31,8 +33,9 @@ into **one function frame**:
 * **Lazily installed prewarm.**  The prewarm image from
   :mod:`repro.sim.prewarm` (the one walk and memo both cores share)
   keeps each set as address and state tuples; they become
-  ``_pending_sets`` as they are, and a set is materialized into line
-  lists only when the run first touches it.
+  ``_pending_sets`` as they are, and a set is materialized only when
+  the run first touches it, by one ``dict.fromkeys`` or
+  ``dict(zip(...))`` over those tuples.
 
 Equivalence contract
 --------------------
@@ -150,6 +153,14 @@ def check_soa_supported(config: MachineConfig) -> None:
 
 _S, _SL, _SG, _E, _D, _T = 0, 1, 2, 3, 4, 5
 
+#: A resident line packs into one int: ``state | version << _VSHIFT``.
+#: ``line & _STATE`` is its state code, ``line >> _VSHIFT`` its version,
+#: and ``line & _VERSION | code`` the same version in another state.
+#: A prewarmed line (version 0) is its state code.
+_VSHIFT = 3
+_STATE = (1 << _VSHIFT) - 1
+_VERSION = ~_STATE
+
 #: state.supplier / state.local_master / state.dirty by integer code.
 _SUP = (False, False, True, True, True, True)
 _LM = (False, True, True, True, True, True)
@@ -235,18 +246,15 @@ _OP_RETIRE = 8
 _OP_REISSUE = 9
 
 
-def _build_set(data: Optional[SetImage]) -> Dict[int, List[int]]:
-    """A cache set's ``[address, state, version]`` lines from its
-    pending prewarm content (an empty set when there is none)."""
+def _build_set(data: Optional[SetImage]) -> Dict[int, int]:
+    """A cache set's packed lines from its pending prewarm content (an
+    empty set when there is none)."""
     if data is None:
         return {}
     addresses, states = data
     if states is None:
-        return {address: [address, _E, 0] for address in addresses}
-    return {
-        address: [address, state, 0]
-        for address, state in zip(addresses, states)
-    }
+        return dict.fromkeys(addresses, _E)
+    return dict(zip(addresses, states))
 
 
 class SoaRingMultiprocessor:
@@ -304,14 +312,14 @@ class SoaRingMultiprocessor:
         num_cores = num_cmps * cpc
         num_sets = config.cache.num_sets
         # Per-core cache state: one dict per set, insertion order = LRU
-        # order, values are [address, state_int, version] lists.  Sets
+        # order, values are packed lines (state | version << 3).  Sets
         # start as ``None`` placeholders and materialize on first touch
         # (from ``_pending_sets`` when the prewarm image has content
         # for them): a short run visits a small fraction of the
         # num_cores x num_sets grid, and skipping the untouched
         # majority makes construction - the prewarm install above all -
         # nearly free.
-        self._core_sets: List[List[Optional[Dict[int, List[int]]]]] = [
+        self._core_sets: List[List[Optional[Dict[int, int]]]] = [
             [None] * num_sets for _ in range(num_cores)
         ]
         #: Lazily installed prewarm content: per core, set index ->
@@ -549,7 +557,7 @@ class SoaRingMultiprocessor:
         tracing = trace is not None
         emit = trace.emit if trace is not None else None
 
-        def materialize(core_id: int, set_index: int) -> Dict[int, List[int]]:
+        def materialize(core_id: int, set_index: int) -> Dict[int, int]:
             """Build a cache set on first touch.  Prewarm content waits
             in ``pending_sets`` as tuples (shared read-only with
             the prewarm image) until something actually looks at the
@@ -682,19 +690,19 @@ class SoaRingMultiprocessor:
                                 continue
                             cache_set = materialize(base + local, set_index)
                         candidate = cache_set.get(address)
-                        if candidate is not None and _SUP[candidate[1]]:
+                        if candidate is not None and _SUP[candidate & _STATE]:
                             line = candidate
                             break
                     if line is None:
                         return
-                    writeback = _DIRTY[line[1]]
+                    writeback = _DIRTY[line & _STATE]
                     if writeback:
-                        version = line[2]
+                        version = line >> _VSHIFT
                         if version >= mem_versions.get(address, 0):
                             mem_versions[address] = version
                         downgrade_writebacks += 1
                         e_dmem += cost_dmem
-                    line[1] = _SL
+                    cache_set[address] = line & _VERSION | _SL
                     remove(address)
                     if supplier_of.get(address) == (cmp_id, local):
                         del supplier_of[address]
@@ -730,8 +738,7 @@ class SoaRingMultiprocessor:
                 cache_set = materialize(core[0], set_index)
             line = cache_set.get(address)
             if line is not None:
-                old_state = line[1]
-                line[1] = state
+                old_state = line & _STATE
                 if _SUP[old_state]:
                     if not _SUP[state]:
                         # supplier loss: predictor, then registry.
@@ -753,14 +760,13 @@ class SoaRingMultiprocessor:
                     supplier_of[address] = (cmp_id, local_id)
                     if has_pred_table:
                         pred_insert[cmp_id](address)
-                line[2] = version
                 del cache_set[address]
-                cache_set[address] = line
+                cache_set[address] = state | version << _VSHIFT
                 return
             if len(cache_set) >= associativity:
                 victim_address = next(iter(cache_set))
                 victim = cache_set.pop(victim_address)
-                victim_state = victim[1]
+                victim_state = victim & _STATE
                 if _SUP[victim_state]:
                     if has_pred_table:
                         pred_remove[cmp_id](victim_address)
@@ -773,11 +779,11 @@ class SoaRingMultiprocessor:
                     holder_count[victim_address] = count
                 if _DIRTY[victim_state]:
                     dirty_evictions += 1
-                    version_out = victim[2]
+                    version_out = victim >> _VSHIFT
                     if version_out >= mem_versions.get(victim_address, 0):
                         mem_versions[victim_address] = version_out
                     writebacks += 1
-            cache_set[address] = [address, state, version]
+            cache_set[address] = state | version << _VSHIFT
             holder_count[address] = holder_count.get(address, 0) + 1
             if _SUP[state]:
                 existing = supplier_of.get(address)
@@ -802,7 +808,7 @@ class SoaRingMultiprocessor:
                 line = cache_set.pop(address, None)
                 if line is None:
                     continue
-                if _SUP[line[1]]:
+                if _SUP[line & _STATE]:
                     if has_pred_table:
                         pred_remove[cmp_id](address)
                     if supplier_of.get(address) == (cmp_id, local_id):
@@ -838,7 +844,7 @@ class SoaRingMultiprocessor:
                 if cache_set is not None:
                     line = cache_set.get(address)
                     if line is not None:
-                        holders[key] = line[1]
+                        holders[key] = line & _STATE
                     continue
                 data = pending.get(set_index)
                 if data is not None:
@@ -1072,9 +1078,9 @@ class SoaRingMultiprocessor:
                                     base + local_id, set_index
                                 )
                             line = cache_set.get(address)
-                            if line is not None and _SUP[line[1]]:
+                            if line is not None and _SUP[line & _STATE]:
                                 break
-                        txn[_T_SVER] = line[2]
+                        txn[_T_SVER] = line >> _VSHIFT
                         txn[_T_DA] = (
                             snoop_done + torus_lat[node_id][requester]
                         )
@@ -1090,7 +1096,7 @@ class SoaRingMultiprocessor:
                                     {
                                         "kind": "write",
                                         "form": "reply",
-                                        "version": line[2],
+                                        "version": txn[_T_SVER],
                                         "data_arrival": txn[_T_DA],
                                     },
                                 )
@@ -1276,10 +1282,13 @@ class SoaRingMultiprocessor:
                                         base + local_id, set_index
                                     )
                                 line = cache_set.get(address)
-                                if line is not None and _SUP[line[1]]:
+                                if line is not None and _SUP[line & _STATE]:
                                     break
-                            line[1] = _NEXT_ON_READ[line[1]]
-                            txn[_T_SVER] = line[2]
+                            cache_set[address] = (
+                                line & _VERSION
+                                | _NEXT_ON_READ[line & _STATE]
+                            )
+                            txn[_T_SVER] = line >> _VSHIFT
                             data_arrival = (
                                 snoop_done
                                 + torus_lat[node_id][requester]
@@ -1305,7 +1314,7 @@ class SoaRingMultiprocessor:
                                                 if txn[_T_SAT]
                                                 else "reply"
                                             ),
-                                            "version": line[2],
+                                            "version": txn[_T_SVER],
                                             "data_arrival": data_arrival,
                                         },
                                     )
@@ -1389,17 +1398,20 @@ class SoaRingMultiprocessor:
                 if master_set is None:
                     master_set = materialize(base + master_local, set_index)
                 candidate = master_set.get(address)
-                if candidate is not None and _LM[candidate[1]]:
+                if candidate is not None and _LM[candidate & _STATE]:
                     master_line = candidate
                     break
             if master_line is not None:
+                master_state = master_line & _STATE
+                if _SUP[master_state]:
+                    master_line = (
+                        master_line & _VERSION | _NEXT_ON_READ[master_state]
+                    )
                 master_set = core_sets[base + master_local][set_index]
                 del master_set[address]
                 master_set[address] = master_line
                 read_hits_local_master += 1
-                if _SUP[master_line[1]]:
-                    master_line[1] = _NEXT_ON_READ[master_line[1]]
-                fill(core, address, _S, master_line[2])
+                fill(core, address, _S, master_line >> _VSHIFT)
                 complete_access(core, now + local_master_latency)
                 return
             start_ring(core, address, False)
@@ -1413,15 +1425,15 @@ class SoaRingMultiprocessor:
             if cache_set is None:
                 cache_set = materialize(core[0], set_index)
             line = cache_set.get(address)
-            if line is not None and (line[1] == _E or line[1] == _D):
+            if line is not None and (
+                line & _STATE == _E or line & _STATE == _D
+            ):
                 write_hits_exclusive += 1
                 write_counter += 1
-                line[1] = _D
-                line[2] = write_counter
                 # The object core's silent-upgrade path ends with an
                 # own.lookup(address), which touches the LRU.
                 del cache_set[address]
-                cache_set[address] = line
+                cache_set[address] = _D | write_counter << _VSHIFT
                 complete_access(core, now + hit_latency)
                 return
             start_ring(core, address, True)
@@ -1693,8 +1705,10 @@ class SoaRingMultiprocessor:
                     if cache_set is None:
                         cache_set = materialize(supplier_id, set_index)
                     line = cache_set[address]
-                    line[1] = _NEXT_ON_READ[line[1]]
-                    version = line[2]
+                    cache_set[address] = (
+                        line & _VERSION | _NEXT_ON_READ[line & _STATE]
+                    )
+                    version = line >> _VSHIFT
                     state = _SL
                 else:
                     version = mem_versions.get(address, 0)

@@ -87,15 +87,15 @@ class RingWalker:
         self._predictor_kind = config.predictor.kind
         self._uses_predictor = algorithm.uses_predictor()
         self._choose = algorithm.choose
-        # Decision-context plumbing: policies that read only the
-        # prediction (every paper algorithm, and dynamic policies like
-        # the pressured SupersetHybrid whose extra input lives outside
-        # the context) get two preallocated contexts, keeping the
-        # common read hop allocation-free; policies that read the
-        # requester's urgency fields get a fresh context per decision.
-        inputs = algorithm.decision_inputs()
-        self._ctx_needs_txn = bool(
-            set(inputs) & {"retries", "waiters", "ring_age"}
+        # Decision-context plumbing: a policy whose static table reads
+        # only the prediction (every paper algorithm) gets one of two
+        # preallocated contexts, keeping the common read hop
+        # allocation-free.  A table that reads the requester's urgency
+        # fields, and every table-less policy (whose choose() may read
+        # any field), get a full context per decision, as on soa.
+        self._ctx_needs_txn = algorithm.decision_table() is None or bool(
+            set(algorithm.decision_inputs())
+            & {"retries", "waiters", "ring_age"}
         )
         self._ctx_true = DecisionContext(True)
         self._ctx_false = DecisionContext(False)

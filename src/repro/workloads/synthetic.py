@@ -24,7 +24,11 @@ from typing import List
 
 import numpy as np
 
-from repro.workloads.trace import Access, WorkloadTrace
+from repro.workloads.trace import (
+    Access,
+    WorkloadTrace,
+    accesses_from_columns,
+)
 
 #: Address-space bases keeping the pools disjoint (logical layout;
 #: physical line addresses are scrambled, see :func:`scramble`).
@@ -240,9 +244,17 @@ def _generate_core_trace(
     migratory_stride: int,
     pc_stride: int,
 ) -> List[Access]:
+    """One core's trace, drawn and assembled in whole-array passes.
+
+    Each draw yields one *slot*; a slot emits one access, or more: a
+    migratory line's read-modify-write pair, or a shared line's burst
+    of re-reads.  A slot's first access carries its address, its write
+    flag and its think time; the rest of the slot repeats the address
+    with the slot's *follow-up* flag and think time.
+    """
     n = profile.accesses_per_core
     pool_draw = rng.random(n)
-    # Pools: 0 = shared, 1 = cold, 2 = private.
+    # Pools: shared, cold, and private for the rest.
     shared_mask = pool_draw < profile.p_shared
     cold_mask = (~shared_mask) & (
         pool_draw < profile.p_shared + profile.p_cold
@@ -262,82 +274,73 @@ def _generate_core_trace(
     )
     write_draw = rng.random(n)
     thinks = rng.geometric(1.0 / max(profile.think_mean, 1.0), size=n)
-
-    private_base = _PRIVATE_BASE + core * _PRIVATE_SPAN
-    cold_base = _COLD_BASE + core * _PRIVATE_SPAN
-    cold_counter = 0
-
     bursts = (
         rng.geometric(1.0 / profile.burst_mean, size=n)
         if profile.burst_mean > 1.0
         else None
     )
 
-    scale = profile.think_scale
-    trace: List[Access] = []
-    for i in range(n):
-        think = int(thinks[i])
-        if scale != 1.0:
-            # Applied after the draw so every scale shares the same
-            # RNG stream: identical addresses, different pacing.
-            think = max(1, int(round(think * scale)))
-        if shared_mask[i]:
-            address = scramble(_SHARED_BASE + int(shared_choices[i]))
-            if migratory_stride and (
-                int(shared_choices[i]) % migratory_stride
-                == migratory_stride - 1
-            ):
-                # Migratory data: read-modify-write pair.
-                trace.append(
-                    Access(address=address, is_write=False, think_time=think)
-                )
-                trace.append(
-                    Access(address=address, is_write=True, think_time=2)
-                )
-                continue
-            shared_index = int(shared_choices[i])
-            if pc_stride and shared_index % pc_stride == (
-                pc_stride // 2
-            ):
-                # Producer-consumer line: a deterministic hash picks
-                # the single writer; everyone else only reads.
-                owner = (shared_index * 2654435761) % profile.num_cores
-                is_write = core == owner
-                trace.append(
-                    Access(
-                        address=address,
-                        is_write=bool(is_write),
-                        think_time=think,
-                    )
-                )
-                continue
-            is_write = write_draw[i] < profile.write_fraction_shared
-            if bursts is not None:
-                # Temporal locality: re-use the line before moving on.
-                trace.append(
-                    Access(
-                        address=address,
-                        is_write=bool(is_write),
-                        think_time=think,
-                    )
-                )
-                for _ in range(int(bursts[i]) - 1):
-                    trace.append(
-                        Access(
-                            address=address,
-                            is_write=False,
-                            think_time=max(think // 2, 1),
-                        )
-                    )
-                continue
-        elif cold_mask[i]:
-            address = scramble(cold_base + cold_counter)
-            cold_counter += 1
-            is_write = False
-        else:
-            address = scramble(private_base + int(private_choices[i]))
-            is_write = write_draw[i] < profile.write_fraction_private
-        trace.append(
-            Access(address=address, is_write=bool(is_write), think_time=think)
+    if profile.think_scale != 1.0:
+        # Applied after the draw so every scale shares the same RNG
+        # stream: identical addresses, different pacing.  np.rint
+        # rounds half to even, as round() does.
+        thinks = np.maximum(
+            np.rint(thinks * profile.think_scale).astype(np.int64), 1
         )
-    return trace
+
+    # Cold lines stream: the k-th cold slot touches line k.
+    cold_counter = np.cumsum(cold_mask) - 1
+    logical = np.where(
+        shared_mask,
+        _SHARED_BASE + shared_choices,
+        np.where(
+            cold_mask,
+            _COLD_BASE + core * _PRIVATE_SPAN + cold_counter,
+            _PRIVATE_BASE + core * _PRIVATE_SPAN + private_choices,
+        ),
+    )
+    is_write = np.where(
+        shared_mask,
+        write_draw < profile.write_fraction_shared,
+        ~cold_mask & (write_draw < profile.write_fraction_private),
+    )
+    # Follow-up accesses: a burst re-reads at half the think time.
+    follow_write = np.zeros(n, dtype=bool)
+    follow_think = np.maximum(thinks // 2, 1)
+    slot_len = np.ones(n, dtype=np.int64)
+    plain_shared = shared_mask
+    # A line index is below shared_lines, so a stride whose matching
+    # residue lies beyond the pool selects no line (and may not fit
+    # the array's int64).
+    if migratory_stride and migratory_stride <= profile.shared_lines:
+        # Migratory data: a read, then the write of the pair.
+        migratory = shared_mask & (
+            shared_choices % migratory_stride == migratory_stride - 1
+        )
+        is_write &= ~migratory
+        follow_write |= migratory
+        follow_think[migratory] = 2
+        slot_len[migratory] = 2
+        plain_shared = plain_shared & ~migratory
+    if pc_stride and pc_stride // 2 < profile.shared_lines:
+        # Producer-consumer line: a deterministic hash picks the
+        # single writer; everyone else only reads.
+        producer = plain_shared & (
+            shared_choices % pc_stride == pc_stride // 2
+        )
+        owner = (shared_choices * 2654435761) % profile.num_cores
+        is_write = np.where(producer, owner == core, is_write)
+        plain_shared = plain_shared & ~producer
+    if bursts is not None:
+        # Temporal locality: re-use the line before moving on.
+        slot_len = np.where(plain_shared, bursts, slot_len)
+
+    addresses = np.repeat(scramble_array(logical), slot_len)
+    access_write = np.repeat(follow_write, slot_len)
+    access_think = np.repeat(follow_think, slot_len)
+    first = np.cumsum(slot_len) - slot_len
+    access_write[first] = is_write
+    access_think[first] = thinks
+    return accesses_from_columns(
+        addresses.tolist(), access_write.tolist(), access_think.tolist()
+    )

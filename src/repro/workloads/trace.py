@@ -9,22 +9,60 @@ read or a write, and the line address.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from itertools import repeat
+from typing import Dict, Iterator, List, NamedTuple, Sequence
+
+_new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Access:
-    """One memory access in a core's trace."""
-
+class _AccessFields(NamedTuple):
     address: int
     is_write: bool
     think_time: int
 
-    def __post_init__(self) -> None:
-        if self.address < 0:
+
+class Access(_AccessFields):
+    """One memory access in a core's trace.
+
+    A NamedTuple: a trace holds one per access, and a tuple is the
+    cheapest record CPython builds and the one its cyclic collector
+    can stop tracking.  The public constructor validates each access;
+    :func:`accesses_from_columns` validates whole columns once and
+    builds the tuples directly.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, address: int, is_write: bool, think_time: int
+    ) -> "Access":
+        if address < 0:
             raise ValueError("address must be non-negative")
-        if self.think_time < 0:
+        if think_time < 0:
             raise ValueError("think_time must be non-negative")
+        return _new_tuple(cls, (address, is_write, think_time))
+
+
+def accesses_from_columns(
+    addresses: Sequence[int],
+    is_write: Sequence[bool],
+    think_time: Sequence[int],
+) -> List[Access]:
+    """Accesses from three equal-length columns of Python values.
+
+    The columns are checked once, as a whole, against the rules
+    :class:`Access` applies to each access; the tuples are then built
+    without calling its constructor.
+    """
+    if not len(addresses) == len(is_write) == len(think_time):
+        raise ValueError("access columns differ in length")
+    if addresses and min(addresses) < 0:
+        raise ValueError("address must be non-negative")
+    if think_time and min(think_time) < 0:
+        raise ValueError("think_time must be non-negative")
+    return list(
+        map(_new_tuple, repeat(Access), zip(addresses, is_write, think_time))
+    )
 
 
 #: One core's access sequence.

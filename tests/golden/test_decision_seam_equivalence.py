@@ -10,6 +10,10 @@ The two post-paper policies ride the same seam and get the stronger
 check: their declared counted outputs (``aggressive_choices`` /
 ``critical_choices``) must match the object core's Python-side tallies
 exactly on the soa core.
+
+A table-less policy gets the full decision context on both cores,
+whatever its ``decision_inputs()`` names: a test-local policy that
+reads the ring age under the default inputs must run identically.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.config import default_machine
-from repro.core.algorithms import build_algorithm
+from repro.core.algorithms import SnoopingAlgorithm, build_algorithm
+from repro.core.decision import as_context
+from repro.core.primitives import Primitive
 from repro.sim.soa import SoaRingMultiprocessor
 from repro.sim.system import RingMultiprocessor
-from repro.workloads.source import SyntheticSource
+from repro.workloads.source import SyntheticSource, resolve_source
 from repro.workloads.synthetic import SharingProfile
 
 LEGACY_ALGORITHMS = (
@@ -142,3 +148,43 @@ def test_dynamic_hybrid_matches_object(core):
     object_run = run(RingMultiprocessor)
     assert run(ARRAY_CORES[core]) == object_run
     assert object_run[2] > object_run[1] > 0
+
+
+class AgeUndeclared(SnoopingAlgorithm):
+    """Filter negative predictions; on a positive one, forward-then-
+    snoop in the first half of the walk and snoop-then-forward after.
+
+    It reads the ring age but publishes no table and keeps the default
+    ``decision_inputs()``, which does not name ``ring_age``.
+    """
+
+    name = "age_undeclared"
+    display_name = "AgeUndeclared"
+    default_predictor_kind = "superset"
+
+    def decision_table(self):
+        return None
+
+    def choose(self, ctx) -> Primitive:
+        context = as_context(ctx)
+        if not context.prediction:
+            return Primitive.FORWARD
+        if context.ring_age <= 4:
+            return Primitive.FORWARD_THEN_SNOOP
+        return Primitive.SNOOP_THEN_FORWARD
+
+
+@pytest.mark.parametrize("core", sorted(ARRAY_CORES))
+def test_tableless_policy_sees_ring_age_on_every_core(core):
+    assert "ring_age" not in AgeUndeclared().decision_inputs()
+
+    def run(core_cls):
+        source = resolve_source("splash2", 60, 0, num_cmps=8)
+        machine = default_machine(
+            predictor="Supy2k",
+            num_cmps=source.num_cmps,
+            cores_per_cmp=source.cores_per_cmp,
+        )
+        return core_cls(machine, AgeUndeclared(), source).run().summary()
+
+    assert run(ARRAY_CORES[core]) == run(RingMultiprocessor)

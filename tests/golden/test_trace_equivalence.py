@@ -220,14 +220,14 @@ def _corrupt_object(system, cores_per_cmp):
 
 
 def _corrupt_soa(soa, num_sets):
-    from repro.sim.soa import _E
+    from repro.sim.soa import _E, _VERSION
 
     def corrupt(core_id, address):
         cache_set = soa._core_sets[core_id][address % num_sets]
         line = None if cache_set is None else cache_set.get(address)
         if line is None:
             return False
-        line[1] = _E
+        cache_set[address] = line & _VERSION | _E
         return True
 
     return corrupt

@@ -4,6 +4,7 @@ warmup and cache prewarm."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.coherence.states import LineState
 from repro.core.algorithms import build_algorithm
 from repro.registry import REGISTRY
 from repro.sim import prewarm as prewarm_module
-from repro.sim.soa import _build_set
+from repro.sim.soa import _STATE, _VSHIFT, _build_set
 from repro.sim.system import RingMultiprocessor
 from repro.workloads.source import SyntheticSource, as_source
 from repro.workloads.synthetic import SharingProfile, generate_workload
@@ -245,12 +246,12 @@ def cache_sets(system):
     return [
         [
             [
-                (address, SOA_STATES[state], version)
-                for address, state, version in (
+                (address, SOA_STATES[line & _STATE], line >> _VSHIFT)
+                for address, line in (
                     cache_set
                     if cache_set is not None
                     else _build_set(pending.get(index))
-                ).values()
+                ).items()
             ]
             for index, cache_set in enumerate(sets)
         ]
@@ -432,6 +433,40 @@ def test_no_core_keeps_an_exact_image(image_walks):
     )
     assert first.stats.downgrades > 0
     assert machine_state(first) == machine_state(second)
+
+
+def test_soa_sets_stay_untracked(image_walks):
+    """soa's lines are packed ints, so no cache set is a container the
+    cyclic collector tracks: after a run with writes and an Exact
+    predictor, every materialized set - empty at first, or built from
+    all-E or state-coded prewarm content - is untracked."""
+    workload = generate_workload(
+        dataclasses.replace(
+            overflow_profile(cores_per_cmp=2), prewarm_fraction=0.05
+        )
+    )
+    system = build_for(
+        "exact", workload, "soa", PredictorConfig(kind="exact", entries=64)
+    )
+    pending = [dict(core_sets) for core_sets in system._pending_sets]
+    stats = system.run().stats
+    assert stats.writes > 0 and stats.downgrades > 0
+    built = [
+        (core, index, cache_set)
+        for core, sets in enumerate(system._core_sets)
+        for index, cache_set in enumerate(sets)
+        if cache_set is not None
+    ]
+    origins = {
+        "empty"
+        if index not in pending[core]
+        else "all_e"
+        if pending[core][index][1] is None
+        else "coded"
+        for core, index, _ in built
+    }
+    assert origins == {"empty", "all_e", "coded"}
+    assert not any(gc.is_tracked(cache_set) for _, _, cache_set in built)
 
 
 def test_object_then_soa_build_walks_once(image_walks):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +21,11 @@ from repro.workloads.synthetic import (
     scramble,
     scramble_array,
 )
-from repro.workloads.trace import Access, WorkloadTrace
+from repro.workloads.trace import (
+    Access,
+    WorkloadTrace,
+    accesses_from_columns,
+)
 
 
 # ----------------------------------------------------------------------
@@ -32,6 +37,38 @@ def test_access_validation():
         Access(address=-1, is_write=False, think_time=0)
     with pytest.raises(ValueError):
         Access(address=0, is_write=False, think_time=-5)
+    with pytest.raises(ValueError):
+        Access(-1, False, 0)
+    with pytest.raises(ValueError):
+        Access(0, True, -1)
+
+
+def test_bulk_built_access_equals_and_pickles_like_a_constructed_one():
+    built = accesses_from_columns([5, 7], [False, True], [3, 0])
+    constructed = [
+        Access(5, False, 3),
+        Access(address=7, is_write=True, think_time=0),
+    ]
+    assert built == constructed
+    for access, twin in zip(built, constructed):
+        assert type(access) is Access
+        assert repr(access) == repr(twin)
+        assert hash(access) == hash(twin)
+        assert access[:] == (twin.address, twin.is_write, twin.think_time)
+        restored = pickle.loads(pickle.dumps(access))
+        assert type(restored) is Access
+        assert restored == twin
+        assert pickle.dumps(access) == pickle.dumps(twin)
+
+
+def test_bulk_build_checks_its_columns():
+    assert accesses_from_columns([], [], []) == []
+    with pytest.raises(ValueError):
+        accesses_from_columns([1, -1], [False, False], [0, 0])
+    with pytest.raises(ValueError):
+        accesses_from_columns([1, 2], [False, False], [0, -3])
+    with pytest.raises(ValueError):
+        accesses_from_columns([1, 2], [False], [0, 0])
 
 
 def test_workload_shape_properties():
